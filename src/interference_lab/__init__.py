@@ -18,7 +18,7 @@ from .core import (
     validate_dataset,
 )
 from .dataio import DataFormatError, load_dataset, save_dataset
-from .est_basic import PrePostRecord, aggregate_pre_post, estimate_basic
+from .est_basic import estimate_basic
 from .est_cmp import (
     CmpConfig,
     CounterfactualTrajectory,
@@ -77,14 +77,12 @@ __all__ = [
     "LearnerConfig",
     "OutcomeModel",
     "OutcomePanel",
-    "PrePostRecord",
     "RidgeModel",
     "RolloutParams",
     "StateEvolutionModel",
     "StateFeatures",
     "TreatmentPanel",
     "UnitCovariates",
-    "aggregate_pre_post",
     "assign_staggered_rollout",
     "build_features",
     "counterfactual_evolution",

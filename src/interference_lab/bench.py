@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import BootstrapConfig, ExperimentDataset, METHODS
-from .est_basic import _pre_post_arrays, estimate_basic
+from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, METHODS
+from .est_basic import estimate_basic
 from .est_cmp import CmpConfig, estimate_tte_cmp
-from .est_network import estimate_ptte, exposure_matrix, extrapolation_warnings, fit_psi
+from .est_network import estimate_network, extrapolation_warnings
 from .regress import LearnerConfig
 from .rng import child_seed
 from .sim import DgpParams, GraphParams, RolloutParams, ground_truth_tte, simulate_experiment
@@ -44,7 +44,7 @@ class NetworkSettings:
 
 @dataclass(frozen=True)
 class CmpSettings:
-    learner: LearnerConfig = LearnerConfig(lambda_grid=tuple(float(x) for x in np.logspace(-8, 2, 6)))
+    learner: LearnerConfig = CmpConfig.learner
     n_bootstrap: int = 500
     moment_order: int = 2
     n_subpopulations: int = 10
@@ -70,12 +70,25 @@ class ScenarioConfig:
     cmp: CmpSettings = CmpSettings()
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.expected_bias_sign is not None and self.expected_bias_sign not in BIAS_SIGNS:
             raise ValueError(f"expected_bias_sign must be one of {BIAS_SIGNS}")
+
+
+# Scenario `estimators` blocks, their settings types, and the report's method names.
+ESTIMATOR_BLOCKS = {"basic": BasicSettings, "network": NetworkSettings, "cmp": CmpSettings}
+BLOCK_METHODS = {"basic": "basic", "network": "network_aware", "cmp": "cmp"}
+
+
+def check_seed(seed) -> int:
+    """Seeds must be integers: child_seed would hash a string, float or bool into an unrelated stream."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed
 
 
 def _build(cls, obj: dict, context: str):
@@ -85,95 +98,42 @@ def _build(cls, obj: dict, context: str):
         raise ValueError(f"{context}: {exc}") from None
 
 
-def _settings_from_dict(obj: dict, context: str, cls, defaults):
+def settings_from_dict(block: str, obj: dict):
+    """Settings for one `estimators.<block>` object; absent keys take the defaults."""
     obj = dict(obj)
     if "learner" in obj:
         obj["learner"] = LearnerConfig.from_dict(obj["learner"])
-    merged = {**defaults, **obj}
-    return _build(cls, merged, context)
+    return _build(ESTIMATOR_BLOCKS[block], obj, f"{block} settings")
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
     obj = {k: v for k, v in obj.items() if not k.startswith("_")}  # _keys are comments
-    required = {"name", "graph", "dgp", "rollout", "T", "seed"}
-    missing = required - set(obj)
+    missing = {"name", "graph", "dgp", "rollout", "T", "seed"} - set(obj)
     if missing:
         raise ValueError(f"scenario config missing keys: {sorted(missing)}")
     estimators = obj.pop("estimators", {})
-    unknown = set(estimators) - {"basic", "network", "cmp"}
+    unknown = set(estimators) - set(ESTIMATOR_BLOCKS)
     if unknown:
         raise ValueError(f"unknown estimator blocks: {sorted(unknown)}")
-    cfg = dict(
-        name=obj["name"],
-        graph=_build(GraphParams, obj["graph"], "graph params"),
-        dgp=_build(DgpParams, obj["dgp"], "dgp params"),
-        rollout=_build(RolloutParams, obj["rollout"], "rollout params"),
-        T=obj["T"],
-        seed=obj["seed"],
-        replicates=obj.get("replicates", 1),
-        truth_reps=obj.get("truth_reps", 3),
-        pre_period_end=obj.get("pre_period_end"),
-        expected_bias_sign=obj.get("expected_bias_sign"),
-        basic=_settings_from_dict(estimators.get("basic", {}), "basic settings", BasicSettings, {}),
-        network=_settings_from_dict(estimators.get("network", {}), "network settings", NetworkSettings, {}),
-        cmp=_settings_from_dict(estimators.get("cmp", {}), "cmp settings", CmpSettings, {}),
-    )
-    leftover = set(obj) - {
-        "name", "graph", "dgp", "rollout", "T", "seed",
-        "replicates", "truth_reps", "pre_period_end", "expected_bias_sign",
-    }
+    leftover = set(obj) - ({f.name for f in fields(ScenarioConfig)} - set(ESTIMATOR_BLOCKS))
     if leftover:
         raise ValueError(f"unknown scenario config keys: {sorted(leftover)}")
-    return ScenarioConfig(**cfg)
+    for key, cls in (("graph", GraphParams), ("dgp", DgpParams), ("rollout", RolloutParams)):
+        obj[key] = _build(cls, obj[key], f"{key} params")
+    for block in ESTIMATOR_BLOCKS:
+        obj[block] = settings_from_dict(block, estimators.get(block, {}))
+    return ScenarioConfig(**obj)
+
+
+def _lists(items) -> dict:
+    """`asdict` factory writing tuples as lists, the form scenario JSON uses."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "graph": {
-            "n_eligible": cfg.graph.n_eligible,
-            "n_ineligible": cfg.graph.n_ineligible,
-            "n_connected": cfg.graph.n_connected,
-            "avg_degree": cfg.graph.avg_degree,
-            "weight_mode": cfg.graph.weight_mode,
-            "weight_mu": cfg.graph.weight_mu,
-            "weight_sd": cfg.graph.weight_sd,
-        },
-        "dgp": {
-            "beta": cfg.dgp.beta,
-            "gamma": cfg.dgp.gamma,
-            "rho": cfg.dgp.rho,
-            "sigma": cfg.dgp.sigma,
-            "baseline_mean": cfg.dgp.baseline_mean,
-            "baseline_sd": cfg.dgp.baseline_sd,
-        },
-        "rollout": {
-            "stage_boundaries": list(cfg.rollout.stage_boundaries),
-            "stage_probabilities": list(cfg.rollout.stage_probabilities),
-        },
-        "T": cfg.T,
-        "seed": cfg.seed,
-        "replicates": cfg.replicates,
-        "truth_reps": cfg.truth_reps,
-        "pre_period_end": cfg.pre_period_end,
-        "expected_bias_sign": cfg.expected_bias_sign,
-        "estimators": {
-            "basic": {"learner": cfg.basic.learner.to_dict(), "n_bootstrap": cfg.basic.n_bootstrap},
-            "network": {
-                "learner": cfg.network.learner.to_dict(),
-                "n_bootstrap": cfg.network.n_bootstrap,
-                "weighted_exposures": cfg.network.weighted_exposures,
-                "all_units_treated": cfg.network.all_units_treated,
-            },
-            "cmp": {
-                "learner": cfg.cmp.learner.to_dict(),
-                "n_bootstrap": cfg.cmp.n_bootstrap,
-                "moment_order": cfg.cmp.moment_order,
-                "n_subpopulations": cfg.cmp.n_subpopulations,
-                "time_homogeneous": cfg.cmp.time_homogeneous,
-            },
-        },
-    }
+    out = asdict(cfg, dict_factory=_lists)
+    out["estimators"] = {block: out.pop(block) for block in ESTIMATOR_BLOCKS}
+    return out
 
 
 def simulate_scenario_dataset(cfg: ScenarioConfig, replicate: int = 0) -> ExperimentDataset:
@@ -186,6 +146,37 @@ def simulate_scenario_dataset(cfg: ScenarioConfig, replicate: int = 0) -> Experi
         seed=child_seed(cfg.seed, "replicate", replicate),
         pre_period_end=cfg.pre_period_end,
     )
+
+
+def run_method(block: str, dataset: ExperimentDataset, settings, seed: int) -> tuple[EffectEstimate, dict]:
+    """Run one estimator block on a dataset: the estimate plus extra replicate-record fields.
+
+    Every estimator stream derives here from `seed` (a bench replicate's seed),
+    so `bench` and `cli estimate` give the same result on the same data.
+    """
+    if block == "basic":
+        boot = BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "basic"))
+        return estimate_basic(dataset, learner=settings.learner, bootstrap=boot), {}
+    if block == "network":
+        est, om = estimate_network(
+            dataset,
+            learner=settings.learner,
+            bootstrap=BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "network")),
+            weighted_exposures=settings.weighted_exposures,
+            all_units_treated=settings.all_units_treated,
+            seed=child_seed(seed, "network-fit"),
+        )
+        warnings = extrapolation_warnings(om, dataset.graph, all_units_treated=settings.all_units_treated)
+        return est, {"network_extrapolation": bool(warnings)}
+    config = CmpConfig(
+        moment_order=settings.moment_order,
+        n_subpopulations=settings.n_subpopulations,
+        learner=settings.learner,
+        time_homogeneous=settings.time_homogeneous,
+        seed=child_seed(seed, "cmp"),
+    )
+    boot = BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "cmp-boot"))
+    return estimate_tte_cmp(dataset, config=config, bootstrap=boot), {}
 
 
 def _run_replicate(cfg: ScenarioConfig, r: int) -> dict:
@@ -201,55 +192,14 @@ def _run_replicate(cfg: ScenarioConfig, r: int) -> dict:
             record["errors"][m] = f"simulation failed: {exc}"
         return record
 
-    try:
-        est = estimate_basic(
-            dataset,
-            learner=cfg.basic.learner,
-            bootstrap=BootstrapConfig(cfg.basic.n_bootstrap, seed=child_seed(rep_seed, "basic")),
-        )
-        record["estimates"]["basic"] = est.to_dict()
-    except Exception as exc:
-        record["errors"]["basic"] = str(exc)
-
-    try:
-        delta, treated, x = _pre_post_arrays(dataset)
-        exposures = exposure_matrix(
-            dataset.graph, treated.astype(float), weighted=cfg.network.weighted_exposures
-        )
-        om = fit_psi(
-            exposures, x, delta,
-            learner=cfg.network.learner,
-            seed=child_seed(rep_seed, "network-fit"),
-            weighted=cfg.network.weighted_exposures,
-        )
-        est = estimate_ptte(
-            om,
-            dataset.graph,
-            bootstrap=BootstrapConfig(cfg.network.n_bootstrap, seed=child_seed(rep_seed, "network")),
-            all_units_treated=cfg.network.all_units_treated,
-        )
-        record["estimates"]["network_aware"] = est.to_dict()
-        record["network_extrapolation"] = bool(
-            extrapolation_warnings(om, dataset.graph, all_units_treated=cfg.network.all_units_treated)
-        )
-    except Exception as exc:
-        record["errors"]["network_aware"] = str(exc)
-
-    try:
-        est = estimate_tte_cmp(
-            dataset,
-            config=CmpConfig(
-                moment_order=cfg.cmp.moment_order,
-                n_subpopulations=cfg.cmp.n_subpopulations,
-                learner=cfg.cmp.learner,
-                time_homogeneous=cfg.cmp.time_homogeneous,
-                seed=child_seed(rep_seed, "cmp"),
-            ),
-            bootstrap=BootstrapConfig(cfg.cmp.n_bootstrap, seed=child_seed(rep_seed, "cmp-boot")),
-        )
-        record["estimates"]["cmp"] = est.to_dict()
-    except Exception as exc:
-        record["errors"]["cmp"] = str(exc)
+    for block, method in BLOCK_METHODS.items():
+        try:
+            est, extras = run_method(block, dataset, getattr(cfg, block), rep_seed)
+        except Exception as exc:
+            record["errors"][method] = str(exc)
+            continue
+        record["estimates"][method] = est.to_dict()
+        record.update(extras)
     return record
 
 

@@ -7,8 +7,10 @@ Subcommands:
     report   --in <json> --format {json|markdown} [--out <path>]
 
 `--config` accepts a file path or the name of a shipped preset
-(no_interference, upward_bias, sign_reversal). The INTERFERENCE_LAB_SEED
-environment variable overrides the config seed when set.
+(no_interference, upward_bias, sign_reversal). For `estimate` it is a
+scenario's `estimators.<method>` object plus an integer `seed`, which plays
+the role of a bench replicate's seed. The INTERFERENCE_LAB_SEED environment
+variable overrides the config seed when set.
 
 Exit codes: 0 success, 1 validation failure (bad arguments, malformed
 config or dataset), 2 runtime failure.
@@ -20,26 +22,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .bench import (
     BenchReport,
-    CmpSettings,
-    BasicSettings,
-    NetworkSettings,
     ScenarioConfig,
-    _settings_from_dict,
+    check_seed,
     render_report,
+    run_method,
     run_scenarios,
     scenario_from_dict,
+    settings_from_dict,
+    simulate_scenario_dataset,
 )
-from .core import BootstrapConfig, validate_dataset
 from .dataio import DataFormatError, load_dataset, save_dataset
-from .est_basic import estimate_basic
-from .est_cmp import CmpConfig, estimate_tte_cmp
-from .est_network import estimate_network
-from .rng import child_seed
 
 
 class _UsageError(Exception):
@@ -69,79 +67,36 @@ def load_scenario_configs(spec: str) -> list[ScenarioConfig]:
     return [scenario_from_dict(obj)]
 
 
-def _apply_env_seed(cfgs: list[ScenarioConfig]) -> list[ScenarioConfig]:
+def _env_seed(seed: int) -> int:
+    """INTERFERENCE_LAB_SEED when set, else the config's seed."""
     env = os.environ.get("INTERFERENCE_LAB_SEED")
     if env is None:
-        return cfgs
+        return seed
     try:
-        seed = int(env)
+        return int(env)
     except ValueError:
         raise ValueError(f"INTERFERENCE_LAB_SEED must be an integer, got {env!r}") from None
-    from dataclasses import replace
-
-    return [replace(cfg, seed=seed) for cfg in cfgs]
 
 
 def _cmd_simulate(args) -> int:
-    cfgs = _apply_env_seed(load_scenario_configs(args.config))
+    cfgs = [replace(cfg, seed=_env_seed(cfg.seed)) for cfg in load_scenario_configs(args.config)]
     if len(cfgs) != 1:
         raise ValueError("simulate expects a single-scenario config")
-    from .bench import simulate_scenario_dataset
-
     dataset = simulate_scenario_dataset(cfgs[0], replicate=0)
     save_dataset(dataset, args.out)
     print(f"wrote dataset ({dataset.n_units} units, T={dataset.n_periods}) to {args.out}")
     return 0
 
 
-def _estimator_seed(config_obj: dict) -> int:
-    env = os.environ.get("INTERFERENCE_LAB_SEED")
-    if env is not None:
-        return int(env)
-    return config_obj.get("seed", 0)
-
-
 def _cmd_estimate(args) -> int:
-    dataset = load_dataset(args.data)
-    violations = validate_dataset(dataset)
-    if violations:
-        raise ValueError("invalid dataset: " + "; ".join(violations[:5]))
-
     config_obj = {}
     if args.config:
         config_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    seed = _estimator_seed(config_obj)
-    config_obj.pop("seed", None)
-
-    if args.method == "basic":
-        settings = _settings_from_dict(config_obj, "basic settings", BasicSettings, {})
-        est = estimate_basic(
-            dataset,
-            learner=settings.learner,
-            bootstrap=BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "basic")),
-        )
-    elif args.method == "network":
-        settings = _settings_from_dict(config_obj, "network settings", NetworkSettings, {})
-        est = estimate_network(
-            dataset,
-            learner=settings.learner,
-            bootstrap=BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "network")),
-            weighted_exposures=settings.weighted_exposures,
-            all_units_treated=settings.all_units_treated,
-            seed=child_seed(seed, "network-fit"),
-        )
-    else:
-        settings = _settings_from_dict(config_obj, "cmp settings", CmpSettings, {})
-        est = estimate_tte_cmp(
-            dataset,
-            config=CmpConfig(
-                moment_order=settings.moment_order,
-                n_subpopulations=settings.n_subpopulations,
-                learner=settings.learner,
-                seed=child_seed(seed, "cmp"),
-            ),
-            bootstrap=BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "cmp-boot")),
-        )
+        if not isinstance(config_obj, dict):
+            raise ValueError(f"{args.config}: estimator config must be a JSON object")
+    seed = _env_seed(check_seed(config_obj.pop("seed", 0)))
+    settings = settings_from_dict(args.method, config_obj)
+    est, _ = run_method(args.method, load_dataset(args.data), settings, seed)
 
     text = json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
@@ -151,7 +106,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfgs = _apply_env_seed(load_scenario_configs(args.config))
+    cfgs = [replace(cfg, seed=_env_seed(cfg.seed)) for cfg in load_scenario_configs(args.config)]
     report = run_scenarios(cfgs, jobs=args.jobs)
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(f"wrote report for {len(report.scenarios)} scenario(s) to {args.out}")

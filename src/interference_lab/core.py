@@ -148,10 +148,6 @@ class OutcomePanel:
     def n_periods(self) -> int:
         return self.outcomes.shape[1]
 
-    @property
-    def t_max(self) -> int:
-        return self.outcomes.shape[1] - 1
-
 
 @dataclass(frozen=True, eq=False)
 class UnitCovariates:
@@ -230,6 +226,13 @@ class EffectEstimate:
         excludes_zero = not (self.ci_low <= 0.0 <= self.ci_high)
         if self.significant_5pct != excludes_zero:
             raise ValueError("significance flag must equal the CI-excludes-zero rule")
+
+    @classmethod
+    def from_bootstrap(cls, method: str, point: float, boot: np.ndarray) -> "EffectEstimate":
+        """2.5/97.5 percentile interval over the draws, widened if needed to contain the point."""
+        lo, hi = np.quantile(boot, [0.025, 0.975])
+        ci_low, ci_high = min(float(lo), point), max(float(hi), point)
+        return cls(method, point, ci_low, ci_high, not (ci_low <= 0.0 <= ci_high), len(boot))
 
     def to_dict(self) -> dict:
         return {

@@ -7,8 +7,6 @@ exactly to the difference in mean pre/post deltas between arms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BootstrapConfig, EffectEstimate, ExperimentDataset
@@ -16,17 +14,9 @@ from .regress import LearnerConfig, fit_learner, predict
 from .rng import child_seed, substream
 
 
-@dataclass(frozen=True)
-class PrePostRecord:
-    """One unit collapsed to a single pre/post contrast."""
-
-    unit_id: int
-    delta: float
-    treated: bool
-    covariates: tuple[float, ...] = ()
-
-
 def _pre_post_arrays(d: ExperimentDataset):
+    """Per-unit delta = post-window mean minus pre-window mean, the final-period
+    treated flag (the stable classification for staggered designs), and covariates."""
     p = d.pre_period_end
     T = d.n_periods
     if not 0 <= p < T:
@@ -36,20 +26,6 @@ def _pre_post_arrays(d: ExperimentDataset):
     treated = d.treatments.assignments[:, -1].astype(bool)
     x = d.covariates.values if d.covariates is not None else None
     return delta, treated, x
-
-
-def aggregate_pre_post(d: ExperimentDataset) -> list[PrePostRecord]:
-    """Collapse each unit's series to delta = post-window mean minus pre-window mean.
-
-    The treated flag is the final-period assignment, the stable classification
-    for staggered designs.
-    """
-    delta, treated, x = _pre_post_arrays(d)
-    records = []
-    for i in range(d.n_units):
-        cov = tuple(x[i]) if x is not None else ()
-        records.append(PrePostRecord(unit_id=i + 1, delta=float(delta[i]), treated=bool(treated[i]), covariates=cov))
-    return records
 
 
 def _design(treated: np.ndarray, x: np.ndarray | None) -> np.ndarray:
@@ -80,12 +56,6 @@ def _resample_two_arms(rg, treated: np.ndarray, max_tries: int = 100) -> np.ndar
     raise RuntimeError("could not draw a bootstrap resample containing both arms")
 
 
-def percentile_interval(points: np.ndarray, point: float) -> tuple[float, float]:
-    """2.5/97.5 percentile interval, widened if needed to contain the point estimate."""
-    lo, hi = np.quantile(points, [0.025, 0.975])
-    return min(float(lo), point), max(float(hi), point)
-
-
 def estimate_basic(
     d: ExperimentDataset,
     learner: LearnerConfig | None = None,
@@ -111,12 +81,4 @@ def estimate_basic(
         rg = substream(bootstrap.seed, "basic-boot", b)
         idx = _resample_two_arms(rg, treated)
         boot[b] = _contrast(delta, treated, x, idx, learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
-    ci_low, ci_high = percentile_interval(boot, point)
-    return EffectEstimate(
-        method="basic",
-        point=point,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        significant_5pct=not (ci_low <= 0.0 <= ci_high),
-        n_bootstrap=bootstrap.n_replicates,
-    )
+    return EffectEstimate.from_bootstrap("basic", point, boot)

@@ -27,7 +27,6 @@ from .core import (
     TreatmentPanel,
     UnitCovariates,
 )
-from .est_basic import percentile_interval
 from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, fit_learner, predict, ridge_fit
 from .rng import child_seed, substream
 
@@ -137,10 +136,6 @@ class StateEvolutionModel:
         a = np.array(self.context_moments, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "context_moments", a)
-
-    @property
-    def n_periods_fitted(self) -> int | None:
-        return None if self.period_models is None else len(self.period_models)
 
     def step(self, mean: float, p_next: float, transition: int = 0) -> float:
         """One recursion step with higher moments held at the stored context."""
@@ -380,12 +375,4 @@ def estimate_tte_cmp(
             partition_seed=child_seed(bootstrap.seed, "partition", b),
             fit_seed=child_seed(bootstrap.seed, "fit", b),
         )
-    ci_low, ci_high = percentile_interval(boot, point)
-    return EffectEstimate(
-        method="cmp",
-        point=point,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        significant_5pct=not (ci_low <= 0.0 <= ci_high),
-        n_bootstrap=bootstrap.n_replicates,
-    )
+    return EffectEstimate.from_bootstrap("cmp", point, boot)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteGraph, BootstrapConfig, EffectEstimate, ExperimentDataset
-from .est_basic import _pre_post_arrays, percentile_interval
+from .est_basic import _pre_post_arrays
 from .regress import DegenerateDesignError, LearnerConfig, fit_learner, predict
 from .rng import child_seed, substream
 
@@ -81,14 +81,7 @@ def counterfactual_exposures(
     control; `all_units_treated` switches to the every-unit reading.
     """
     w_full = np.ones(g.n_treatment_units) if all_units_treated else g.eligible.astype(float)
-    e_dir = g.degrees(weighted=weighted)[g.eligible]
-    t_idx, c_idx = _edge_indices(g)
-    treated_per_connected = np.bincount(c_idx, weights=w_full[t_idx], minlength=g.n_connected_units)
-    contrib = treated_per_connected[c_idx] - w_full[t_idx]
-    if weighted:
-        contrib = contrib * g.edge_weight
-    e_ind = np.bincount(t_idx, weights=contrib, minlength=g.n_treatment_units)[g.eligible]
-    return np.column_stack([e_dir, e_ind])
+    return exposure_matrix(g, w_full, weighted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,15 +178,7 @@ def estimate_ptte(
             om.design[idx], om.targets[idx], om.learner, seed=child_seed(bootstrap.seed, "boot-fit", b)
         )
         boot[b] = float(np.mean(predict(refit, design_1[idx]) - predict(refit, design_0[idx])))
-    ci_low, ci_high = percentile_interval(boot, point)
-    return EffectEstimate(
-        method="network_aware",
-        point=point,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        significant_5pct=not (ci_low <= 0.0 <= ci_high),
-        n_bootstrap=bootstrap.n_replicates,
-    )
+    return EffectEstimate.from_bootstrap("network_aware", point, boot)
 
 
 def extrapolation_warnings(om: OutcomeModel, g: BipartiteGraph, all_units_treated: bool = False) -> list[str]:
@@ -221,11 +206,14 @@ def estimate_network(
     weighted_exposures: bool = False,
     all_units_treated: bool = False,
     seed: int = 0,
-) -> EffectEstimate:
-    """End-to-end network-aware estimate from a dataset with a graph."""
+) -> tuple[EffectEstimate, OutcomeModel]:
+    """End-to-end network-aware estimate from a dataset with a graph, plus the fitted model.
+
+    `seed` drives the outcome model's lambda cross-validation.
+    """
     if d.graph is None:
         raise ValueError("the network-aware method requires the dataset's bipartite graph")
     delta, treated, x = _pre_post_arrays(d)
     exposures = exposure_matrix(d.graph, treated.astype(float), weighted=weighted_exposures)
-    om = fit_psi(exposures, x, delta, learner, seed=child_seed(seed, "psi"), weighted=weighted_exposures)
-    return estimate_ptte(om, d.graph, bootstrap=bootstrap, all_units_treated=all_units_treated)
+    om = fit_psi(exposures, x, delta, learner, seed=seed, weighted=weighted_exposures)
+    return estimate_ptte(om, d.graph, bootstrap=bootstrap, all_units_treated=all_units_treated), om

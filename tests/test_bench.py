@@ -152,6 +152,12 @@ def test_scenario_from_dict_validation():
         scenario_from_dict(bad2)
 
 
+@pytest.mark.parametrize("seed", ["71", 71.5, True, None])
+def test_scenario_from_dict_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        scenario_from_dict(dict(scenario_to_dict(tiny_scenario()), seed=seed))
+
+
 def test_run_scenarios_concatenates():
     cfgs = [tiny_scenario(name="a", replicates=1), tiny_scenario(name="b", replicates=1, seed=55)]
     report = run_scenarios(cfgs)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from interference_lab.bench import run_scenario, scenario_from_dict, simulate_scenario_dataset
 from interference_lab.cli import cli_main, load_scenario_configs
+from interference_lab.dataio import save_dataset
+from interference_lab.rng import child_seed
 
 TINY_SCENARIO = {
     "name": "cli_tiny",
@@ -136,6 +139,35 @@ def test_estimator_config_is_honored(tmp_path, scenario_file):
     assert json.loads(out.read_text())["n_bootstrap"] == 7
 
 
+@pytest.mark.parametrize("seed", ["71", 71.5, True])
+def test_non_integer_seed_exits_one(tmp_path, scenario_file, capsys, seed):
+    bad_scenario = tmp_path / "bad_scenario.json"
+    bad_scenario.write_text(json.dumps(dict(TINY_SCENARIO, seed=seed)))
+    assert cli_main(["bench", "--config", str(bad_scenario), "--out", str(tmp_path / "r.json")]) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+
+    data_dir = tmp_path / "data"
+    cli_main(["simulate", "--config", scenario_file, "--out", str(data_dir)])
+    est_cfg = tmp_path / "est.json"
+    est_cfg.write_text(json.dumps({"n_bootstrap": 7, "seed": seed}))
+    argv = ["estimate", "--data", str(data_dir), "--method", "basic", "--config", str(est_cfg),
+            "--out", str(tmp_path / "o.json")]
+    assert cli_main(argv) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
+def test_non_object_estimate_config_exits_one(tmp_path, scenario_file, capsys):
+    data_dir = tmp_path / "data"
+    cli_main(["simulate", "--config", scenario_file, "--out", str(data_dir)])
+    est_cfg = tmp_path / "est.json"
+    est_cfg.write_text(json.dumps([{"n_bootstrap": 7}]))
+    argv = ["estimate", "--data", str(data_dir), "--method", "cmp", "--config", str(est_cfg),
+            "--out", str(tmp_path / "o.json")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(est_cfg) in err and "JSON object" in err
+
+
 def test_corrupt_scenario_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -151,3 +183,44 @@ def test_preset_configs_load_by_name():
     for name in ("no_interference", "upward_bias", "sign_reversal"):
         (cfg,) = load_scenario_configs(name)
         assert cfg.name == name
+
+
+# Bench's optional paths: per-period cmp maps and a network lambda grid that needs CV.
+# At seed 74 the CV picks a different lambda in both replicates when the
+# network fit seed takes an extra hop, so any seed drift between CLI and bench shows.
+PARITY_SCENARIO = dict(
+    TINY_SCENARIO,
+    seed=74,
+    replicates=2,
+    estimators={
+        "basic": TINY_SCENARIO["estimators"]["basic"],
+        "network": dict(
+            TINY_SCENARIO["estimators"]["network"],
+            learner={"kind": "ridge", "lambda_grid": [1e-3, 3, 10]},
+        ),
+        "cmp": dict(TINY_SCENARIO["estimators"]["cmp"], time_homogeneous=False),
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def parity_bench():
+    cfg = scenario_from_dict(PARITY_SCENARIO)
+    return cfg, run_scenario(cfg).scenarios[0]["replicates"]
+
+
+@pytest.mark.parametrize("method, report_key", [("basic", "basic"), ("network", "network_aware"), ("cmp", "cmp")])
+def test_cli_estimate_matches_bench_replicate(tmp_path, parity_bench, method, report_key):
+    cfg, records = parity_bench
+    for record in records:
+        r = record["index"]
+        data_dir = tmp_path / f"data_{r}"
+        save_dataset(simulate_scenario_dataset(cfg, r), data_dir)
+        est_cfg = tmp_path / f"{method}_{r}.json"
+        block = PARITY_SCENARIO["estimators"][method]
+        est_cfg.write_text(json.dumps(dict(block, seed=child_seed(cfg.seed, "replicate", r))))
+        out = tmp_path / f"{method}_{r}_out.json"
+        argv = ["estimate", "--data", str(data_dir), "--method", method, "--config", str(est_cfg), "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert record["estimates"][report_key] is not None
+        assert json.loads(out.read_text()) == record["estimates"][report_key]

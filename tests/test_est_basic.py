@@ -10,7 +10,7 @@ from interference_lab.core import (
     TreatmentPanel,
     UnitCovariates,
 )
-from interference_lab.est_basic import aggregate_pre_post, estimate_basic
+from interference_lab.est_basic import _pre_post_arrays, estimate_basic
 from interference_lab.regress import LearnerConfig
 from interference_lab.sim import (
     DgpParams,
@@ -42,7 +42,8 @@ def test_constant_outcomes_give_zero_delta():
         treatments=TreatmentPanel(np.zeros((2, 4), dtype=np.int8)),
         pre_period_end=1,
     )
-    assert all(rec.delta == 0.0 for rec in aggregate_pre_post(d))
+    delta, _, _ = _pre_post_arrays(d)
+    assert np.all(delta == 0.0)
 
 
 def test_pre_post_means():
@@ -52,9 +53,9 @@ def test_pre_post_means():
         treatments=TreatmentPanel(np.array([[0, 1, 1]], dtype=np.int8)),
         pre_period_end=0,
     )
-    (rec,) = aggregate_pre_post(d)
-    assert rec.delta == pytest.approx((1 + 3 + 3) / 3 - 1.0)
-    assert rec.treated is True
+    (delta,), (treated,), _ = _pre_post_arrays(d)
+    assert delta == pytest.approx((1 + 3 + 3) / 3 - 1.0)
+    assert treated
 
 
 def test_simulator_single_edge_delta():
@@ -67,8 +68,8 @@ def test_simulator_single_edge_delta():
         seed=5,
         pre_period_end=1,
     )
-    (rec,) = aggregate_pre_post(d)
-    assert rec.delta == pytest.approx(2.0, abs=1e-12)
+    (delta,), _, _ = _pre_post_arrays(d)
+    assert delta == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exact_difference_in_means_with_linear_learner():

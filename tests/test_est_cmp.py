@@ -378,9 +378,10 @@ def test_sign_agreement_with_network_across_spillover_signs(gamma):
         cmp_pt = estimate_tte_cmp(
             d, CmpConfig(n_subpopulations=6, learner=TINY, seed=1), BootstrapConfig(1, seed=2)
         ).point
-        net_pt = estimate_network(
+        net_est, _ = estimate_network(
             d, learner=LearnerConfig(lambda_grid=(1e-8,)), bootstrap=BootstrapConfig(1, seed=2)
-        ).point
+        )
+        net_pt = net_est.point
         agree.append(np.sign(cmp_pt) == np.sign(net_pt))
     assert np.mean(agree) >= 0.9
 

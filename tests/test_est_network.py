@@ -177,7 +177,7 @@ def test_network_estimate_tracks_oracle_while_basic_is_biased():
     dgp = DgpParams(beta=1.0, gamma=-2.0, rho=0.0, sigma=0.3, baseline_mean=5.0, baseline_sd=1.0)
     d = simulate_experiment(gp, dgp, RolloutParams((1,), (0.5,)), T=8, seed=42, pre_period_end=0)
     truth = ground_truth_tte(d.graph, dgp, 8, seed=1, n_reps=3)
-    est_n = estimate_network(d, learner=OLS, bootstrap=BootstrapConfig(200, seed=2))
+    est_n, _ = estimate_network(d, learner=OLS, bootstrap=BootstrapConfig(200, seed=2))
     est_b = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(200, seed=2))
     se_n = (est_n.ci_high - est_n.ci_low) / 3.92
     se_b = (est_b.ci_high - est_b.ci_low) / 3.92
@@ -190,7 +190,7 @@ def test_agrees_with_basic_when_gamma_zero():
     gp = GraphParams(n_eligible=150, n_ineligible=20, n_connected=200, avg_degree=2.5)
     dgp = DgpParams(beta=1.0, gamma=0.0, rho=0.0, sigma=0.4, baseline_mean=5.0, baseline_sd=1.0)
     d = simulate_experiment(gp, dgp, RolloutParams((1, 2), (0.0, 0.6)), T=8, seed=17, pre_period_end=1)
-    est_n = estimate_network(d, learner=OLS, bootstrap=BootstrapConfig(150, seed=2))
+    est_n, _ = estimate_network(d, learner=OLS, bootstrap=BootstrapConfig(150, seed=2))
     est_b = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(150, seed=2))
     se = np.hypot(
         (est_n.ci_high - est_n.ci_low) / 3.92, (est_b.ci_high - est_b.ci_low) / 3.92
