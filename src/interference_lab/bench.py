@@ -91,6 +91,12 @@ def check_seed(seed) -> int:
     return seed
 
 
+def _require_object(obj, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{context} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _build(cls, obj: dict, context: str):
     try:
         return cls(**obj)
@@ -100,18 +106,18 @@ def _build(cls, obj: dict, context: str):
 
 def settings_from_dict(block: str, obj: dict):
     """Settings for one `estimators.<block>` object; absent keys take the defaults."""
-    obj = dict(obj)
+    obj = dict(_require_object(obj, f"{block} settings"))
     if "learner" in obj:
         obj["learner"] = LearnerConfig.from_dict(obj["learner"])
     return _build(ESTIMATOR_BLOCKS[block], obj, f"{block} settings")
 
 
-def scenario_from_dict(obj: dict) -> ScenarioConfig:
-    obj = {k: v for k, v in obj.items() if not k.startswith("_")}  # _keys are comments
+def scenario_from_dict(obj: dict, context: str = "scenario config") -> ScenarioConfig:
+    obj = {k: v for k, v in _require_object(obj, context).items() if not k.startswith("_")}  # _keys are comments
     missing = {"name", "graph", "dgp", "rollout", "T", "seed"} - set(obj)
     if missing:
-        raise ValueError(f"scenario config missing keys: {sorted(missing)}")
-    estimators = obj.pop("estimators", {})
+        raise ValueError(f"{context} missing keys: {sorted(missing)}")
+    estimators = _require_object(obj.pop("estimators", {}), "estimators")
     unknown = set(estimators) - set(ESTIMATOR_BLOCKS)
     if unknown:
         raise ValueError(f"unknown estimator blocks: {sorted(unknown)}")

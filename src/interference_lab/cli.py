@@ -63,7 +63,9 @@ def load_scenario_configs(spec: str) -> list[ScenarioConfig]:
         raise ValueError(f"config {spec!r} is neither a file nor a preset name {PRESET_NAMES}")
     obj = json.loads(text)
     if isinstance(obj, dict) and "scenarios" in obj:
-        return [scenario_from_dict(sc) for sc in obj["scenarios"]]
+        if not isinstance(obj["scenarios"], list):
+            raise ValueError(f"scenarios must be a JSON list, got {type(obj['scenarios']).__name__}")
+        return [scenario_from_dict(sc, f"scenarios[{i}]") for i, sc in enumerate(obj["scenarios"])]
     return [scenario_from_dict(obj)]
 
 

@@ -14,6 +14,7 @@ observed values, so only the mean path is propagated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .core import (
     TreatmentPanel,
     UnitCovariates,
 )
-from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, fit_learner, predict, ridge_fit
+from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, fit_learner, ridge_fit
 from .rng import child_seed, substream
 
 N_BASELINE_BINS = 4
@@ -64,14 +65,6 @@ def _moment_columns(order: int) -> tuple[str, ...]:
     return tuple(names[: max(order, 1)])
 
 
-def _moments(values: np.ndarray, order: int) -> np.ndarray:
-    out = [values.mean()]
-    if order >= 2:
-        centered = values - values.mean()
-        out.extend(np.mean(centered**k) for k in range(2, order + 1))
-    return np.asarray(out)
-
-
 def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures:
     """Summary-statistic rows for every transition; reads panels only, never the graph."""
     if moment_order < 1:
@@ -82,8 +75,14 @@ def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures
     y = d.outcomes.outcomes
     p = d.treatments.treated_fraction()
 
-    moment_rows = np.stack([_moments(y[:, t], moment_order) for t in range(T + 1)])
-    means = moment_rows[:, 0]
+    # one row per period; reducing along contiguous rows keeps numpy's pairwise summation per column
+    by_period = np.ascontiguousarray(y.T)
+    means = by_period.mean(axis=1)
+    moments = [means]
+    if moment_order >= 2:
+        centered = by_period - means[:, None]
+        moments.extend((centered**k).mean(axis=1) for k in range(2, moment_order + 1))
+    moment_rows = np.column_stack(moments)
     table = np.column_stack(
         [moment_rows[:-1], p[1:], means[:-1] * p[1:]]
     )
@@ -136,14 +135,6 @@ class StateEvolutionModel:
         a = np.array(self.context_moments, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "context_moments", a)
-
-    def step(self, mean: float, p_next: float, transition: int = 0) -> float:
-        """One recursion step with higher moments held at the stored context."""
-        row = np.concatenate(
-            [[mean], self.context_moments[1:], [p_next, (mean - self.interaction_center) * p_next]]
-        )
-        model = self.model if self.period_models is None else self.period_models[transition]
-        return float(predict(model, row[None, :])[0])
 
 
 def fit_state_evolution(
@@ -232,13 +223,23 @@ def counterfactual_evolution(
             f"per-period model covers {len(model.period_models)} transitions, cannot recurse to T={T}"
         )
     p = 1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0
-    means = np.empty(T + 1)
-    means[0] = baseline_mean
-    for t in range(1, T + 1):
-        means[t] = model.step(means[t - 1], p, transition=t - 1)
-        if not np.isfinite(means[t]):
+    maps = model.period_models or (model.model,)
+    coef = np.stack([m.coefficients for m in maps])
+    intercept = np.array([m.intercept for m in maps])
+    # The feature row [mean, context[1:], p, (mean - center) * p] is affine in
+    # the mean, so each transition's map is the scalar step mean <- a * mean + b.
+    slope = coef[:, 0] + coef[:, -1] * p
+    offset = intercept + coef[:, 1:-2] @ model.context_moments[1:] + p * (
+        coef[:, -2] - coef[:, -1] * model.interaction_center
+    )
+    if model.period_models is None:  # one map shared by every transition
+        slope, offset = np.repeat(slope, T), np.repeat(offset, T)
+    means = [float(baseline_mean)]
+    for t, a, b in zip(range(1, T + 1), slope.tolist(), offset.tolist()):
+        means.append(a * means[-1] + b)
+        if not math.isfinite(means[-1]):
             raise RuntimeError(f"counterfactual recursion diverged at period {t}")
-    return CounterfactualTrajectory(allocation=allocation, means=means)
+    return CounterfactualTrajectory(allocation=allocation, means=np.array(means))
 
 
 def _adoption_stage(assignments: np.ndarray) -> np.ndarray:
@@ -271,22 +272,12 @@ def network_bootstrap(d: ExperimentDataset, n_subpopulations: int, seed: int) ->
     quartile = (ranks * N_BASELINE_BINS) // n
     stage = _adoption_stage(d.treatments.assignments)
 
-    members: list[list[int]] = [[] for _ in range(n_subpopulations)]
-    pointer = int(substream(seed, "deal-start").integers(n_subpopulations))
-    strata = sorted(set(zip(quartile.tolist(), stage.tolist())))
-    for key in strata:
-        in_stratum = np.flatnonzero((quartile == key[0]) & (stage == key[1]))
-        by_baseline = in_stratum[np.argsort(baseline[in_stratum], kind="stable")]
-        for unit in by_baseline:
-            members[pointer % n_subpopulations].append(int(unit))
-            pointer += 1
-
-    out = []
-    for idx_list in members:
-        if not idx_list:
-            raise ValueError("a subpopulation would be empty; reduce n_subpopulations")
-        out.append(subset_dataset(d, np.sort(np.asarray(idx_list))))
-    return out
+    # Deal the units in (quartile, stage, baseline, index) order round-robin from the seeded start.
+    start = int(substream(seed, "deal-start").integers(n_subpopulations))
+    order = np.lexsort((np.arange(n), baseline, stage, quartile))
+    label = np.empty(n, dtype=int)
+    label[order] = (start + np.arange(n)) % n_subpopulations
+    return [subset_dataset(d, np.flatnonzero(label == j)) for j in range(n_subpopulations)]
 
 
 def subset_dataset(d: ExperimentDataset, rows: np.ndarray) -> ExperimentDataset:

@@ -104,6 +104,11 @@ class OutcomeModel:
         return np.stack([e.min(axis=0), e.max(axis=0)], axis=1)
 
 
+def _has_variation(rows: np.ndarray) -> bool:
+    """True unless the rows are all identical (or there are none)."""
+    return len(rows) > 0 and bool(np.ptp(rows, axis=0).any())
+
+
 def fit_psi(
     exposures: np.ndarray,
     covariates: np.ndarray | None,
@@ -118,7 +123,7 @@ def fit_psi(
     outcomes = np.asarray(outcomes, dtype=float)
     if exposures.ndim != 2 or exposures.shape[1] != 2:
         raise ValueError("exposures must be an (N, 2) matrix")
-    if len(np.unique(exposures, axis=0)) < 2:
+    if not _has_variation(exposures):
         raise DegenerateDesignError("all exposure points identical; outcome model unidentified")
     design = exposures if covariates is None else np.hstack([exposures, covariates])
     model, lam = fit_learner(design, outcomes, learner, seed=seed)
@@ -140,7 +145,7 @@ def _resample_identified(rg, design: np.ndarray, max_tries: int = 100) -> np.nda
     n = len(design)
     for _ in range(max_tries):
         idx = np.sort(rg.integers(0, n, size=n))
-        if len(np.unique(design[idx, :2], axis=0)) >= 2:
+        if _has_variation(design[idx, :2]):
             return idx
     raise RuntimeError("could not draw a bootstrap resample with exposure variation")
 

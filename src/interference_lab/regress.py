@@ -178,26 +178,59 @@ def cross_validate(
     if min(np.bincount(folds, minlength=k_folds)) < 1:
         raise ValueError("every fold needs at least one sample")
 
-    if learner == "kernel_ridge" and kernel == "rbf" and bandwidth is None:
-        bandwidth = median_bandwidth(X)
+    if learner == "ridge":
+        errs = _ridge_cv_errors(X, y, grid, folds, k_folds, center)
+    elif learner == "kernel_ridge":
+        if kernel == "rbf" and bandwidth is None:
+            bandwidth = median_bandwidth(X)
+        errs = []
+        for lam in grid:
+            fold_errs = []
+            for j in range(k_folds):
+                train, test = folds != j, folds == j
+                model = kernel_ridge_fit(X[train], y[train], kernel=kernel, lam=lam, bandwidth=bandwidth)
+                resid = predict(model, X[test]) - y[test]
+                fold_errs.append(float(np.mean(resid**2)))
+            errs.append(float(np.mean(fold_errs)))
+    else:
+        raise ValueError(f"unknown learner {learner!r}")
 
     best_lam, best_err = grid[0], np.inf
-    for lam in grid:
-        errs = []
-        for j in range(k_folds):
-            train, test = folds != j, folds == j
-            if learner == "ridge":
-                model = ridge_fit(X[train], y[train], lam, center=center)
-            elif learner == "kernel_ridge":
-                model = kernel_ridge_fit(X[train], y[train], kernel=kernel, lam=lam, bandwidth=bandwidth)
-            else:
-                raise ValueError(f"unknown learner {learner!r}")
-            resid = predict(model, X[test]) - y[test]
-            errs.append(float(np.mean(resid**2)))
-        err = float(np.mean(errs))
+    for lam, err in zip(grid, errs):
         if err <= best_err:
             best_lam, best_err = lam, err
     return best_lam
+
+
+def _ridge_cv_errors(X, y, grid: list[float], folds: np.ndarray, k_folds: int, center: bool) -> np.ndarray:
+    """Mean held-out squared error per grid value, as `ridge_fit` on each fold's
+    training rows would give it, from one stacked solve over folds x grid."""
+    if grid[0] < 0:
+        raise ValueError("lam must be nonnegative")
+    d = X.shape[1]
+    test = (folds == np.arange(k_folds)[:, None]).astype(float)  # (k, n) fold indicators
+    train = 1.0 - test
+    if center:
+        n_train = train.sum(axis=1)
+        x_mean = (train @ X) / n_train[:, None]
+        y_mean = (train @ y) / n_train
+    else:
+        x_mean = np.zeros((k_folds, d))
+        y_mean = np.zeros(k_folds)
+    Xc = (X - x_mean[:, None, :]) * train[:, :, None]  # (k, n, d), held-out rows zeroed
+    yc = (y - y_mean[:, None]) * train
+    Xc_t = np.swapaxes(Xc, 1, 2)
+    gram = Xc_t @ Xc
+    if grid[0] == 0 and (np.linalg.matrix_rank(gram) < d).any():
+        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
+    lams = np.asarray(grid)
+    A = gram[:, None] + lams[:, None, None] * np.eye(d)  # (k, L, d, d)
+    coef = np.linalg.solve(A, (Xc_t @ yc[:, :, None])[:, None])[..., 0]  # (k, L, d)
+    intercept = y_mean[:, None] - np.einsum("ki,kli->kl", x_mean, coef)
+    # each row predicted by the models of the fold that holds it out
+    pred = np.einsum("ni,nli->nl", X, coef[folds]) + intercept[folds]
+    fold_errs = (test @ (pred - y[:, None]) ** 2) / test.sum(axis=1)[:, None]
+    return fold_errs.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -220,6 +253,8 @@ class LearnerConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LearnerConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"learner config must be a JSON object, got {type(obj).__name__}")
         known = {"kind", "lambda_grid", "cv_folds", "kernel", "bandwidth", "center"}
         unknown = set(obj) - known
         if unknown:

@@ -174,6 +174,23 @@ def test_corrupt_scenario_config_exits_one(tmp_path, capsys):
     assert cli_main(["bench", "--config", str(bad), "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("config, message", [
+    ([TINY_SCENARIO], "scenario config must be a JSON object, got list"),
+    ({"scenarios": [TINY_SCENARIO, 3]}, "scenarios[1] must be a JSON object, got int"),
+    ({"scenarios": {"cli_tiny": TINY_SCENARIO}}, "scenarios must be a JSON list, got dict"),
+    (dict(TINY_SCENARIO, estimators=["cmp"]), "estimators must be a JSON object, got list"),
+    (dict(TINY_SCENARIO, estimators={"cmp": [1]}), "cmp settings must be a JSON object, got list"),
+    (dict(TINY_SCENARIO, estimators={"basic": {"learner": "ridge"}}),
+     "learner config must be a JSON object, got str"),
+])
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+def test_malformed_scenario_config_exits_one(tmp_path, capsys, command, config, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_unknown_preset_name_exits_one(tmp_path, capsys):
     assert cli_main(["bench", "--config", "mystery_preset", "--out", str(tmp_path / "r.json")]) == 1
     assert "preset" in capsys.readouterr().err

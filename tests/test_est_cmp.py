@@ -9,6 +9,7 @@ from interference_lab.core import (
     ExperimentDataset,
     OutcomePanel,
     TreatmentPanel,
+    UnitCovariates,
     validate_dataset,
 )
 from interference_lab.est_cmp import (
@@ -20,8 +21,10 @@ from interference_lab.est_cmp import (
     estimate_tte_cmp,
     fit_state_evolution,
     network_bootstrap,
+    stack_features,
 )
-from interference_lab.regress import LearnerConfig, RidgeModel
+from interference_lab.regress import LearnerConfig, RidgeModel, predict
+from interference_lab.rng import substream
 from interference_lab.sim import DgpParams, GraphParams, RolloutParams, generate_graph, simulate_experiment
 
 TINY = LearnerConfig(lambda_grid=(1e-8, 1e-6))
@@ -399,3 +402,104 @@ def test_estimate_tte_cmp_deterministic():
     b = estimate_tte_cmp(d, cfg, BootstrapConfig(25, seed=3))
     assert a == b
     assert a.method == "cmp"
+
+
+def loop_partition(d, k, seed):
+    """Reference for `network_bootstrap`: the per-stratum, per-unit round-robin deal."""
+    n = d.n_units
+    baseline = d.outcomes.outcomes[:, 0]
+    ranks = np.empty(n, dtype=int)
+    ranks[np.argsort(baseline, kind="stable")] = np.arange(n)
+    quartile = (ranks * 4) // n
+    a = d.treatments.assignments
+    stage = np.where(a.any(axis=1), a.argmax(axis=1) + 1, d.n_periods + 1)
+    members = [[] for _ in range(k)]
+    pointer = int(substream(seed, "deal-start").integers(k))
+    for key in sorted(set(zip(quartile.tolist(), stage.tolist()))):
+        in_stratum = np.flatnonzero((quartile == key[0]) & (stage == key[1]))
+        for unit in in_stratum[np.argsort(baseline[in_stratum], kind="stable")]:
+            members[pointer % k].append(int(unit))
+            pointer += 1
+    return [sorted(m) for m in members]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_network_bootstrap_matches_round_robin_loop(seed):
+    d = simulate_experiment(
+        GraphParams(n_eligible=97, n_connected=120, avg_degree=2.0),
+        DgpParams(sigma=0.5, baseline_sd=1.0),
+        RolloutParams((1, 3), (0.3, 0.6)),
+        T=5,
+        seed=60 + seed,
+    )
+    outcomes = d.outcomes.outcomes.copy()
+    if seed % 2:  # coarse baselines, so ties within a stratum fall back to unit order
+        outcomes[:, 0] = np.round(outcomes[:, 0])
+    # the covariate column carries each unit's index through the subsetting
+    d = dataclasses.replace(
+        d, outcomes=OutcomePanel(outcomes), covariates=UnitCovariates(np.arange(d.n_units, dtype=float)[:, None])
+    )
+    for k in (2, 3, 10):
+        subs = network_bootstrap(d, k, seed=seed)
+        got = [s.covariates.values[:, 0].astype(int).tolist() for s in subs]
+        assert got == loop_partition(d, k, seed)
+
+
+def loop_moments(values, order):
+    """Reference for `build_features`: the moments of one period's column."""
+    out = [values.mean()]
+    if order >= 2:
+        centered = values - values.mean()
+        out.extend(np.mean(centered**k) for k in range(2, order + 1))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_build_features_matches_per_period_moments(order):
+    d = simulate_experiment(
+        GraphParams(n_eligible=150, n_connected=200, avg_degree=2.0),
+        DgpParams(beta=1.0, gamma=0.5, rho=0.3, sigma=0.5, baseline_mean=4.0, baseline_sd=2.0),
+        RolloutParams((1, 3), (0.3, 0.6)),
+        T=7,
+        seed=70 + order,
+    )
+    f = build_features(d, order)
+    y = d.outcomes.outcomes
+    rows = np.stack([loop_moments(y[:, t], order) for t in range(d.n_periods + 1)])
+    np.testing.assert_allclose(f.table[:, :order], rows[:-1], rtol=1e-12)
+    np.testing.assert_allclose(f.final_moments, rows[-1], rtol=1e-12)
+    np.testing.assert_allclose(f.targets, rows[1:, 0], rtol=1e-12)
+    assert f.baseline_mean == pytest.approx(rows[0, 0], rel=1e-12)
+
+
+def loop_evolution(model, baseline_mean, p, T):
+    """Reference for `counterfactual_evolution`: `predict` on each step's full feature row."""
+    means = [baseline_mean]
+    for t in range(T):
+        m = means[-1]
+        row = np.concatenate([[m], model.context_moments[1:], [p, (m - model.interaction_center) * p]])
+        fitted = model.model if model.period_models is None else model.period_models[t]
+        means.append(float(predict(fitted, row[None, :])[0]))
+    return np.asarray(means)
+
+
+@pytest.mark.parametrize("time_homogeneous", [True, False])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_counterfactual_evolution_matches_predict_loop(time_homogeneous, order):
+    d = simulate_experiment(
+        GraphParams(n_eligible=80, n_connected=120, avg_degree=2.0),
+        DgpParams(beta=1.0, gamma=0.5, rho=0.3, sigma=0.3, baseline_mean=4.0, baseline_sd=1.0),
+        RolloutParams((1, 3), (0.3, 0.6)),
+        T=6,
+        seed=80 + order,
+    )
+    parts = [build_features(s, order) for s in network_bootstrap(d, 6, seed=order)]
+    full = build_features(d, order)
+    features = dataclasses.replace(
+        stack_features(parts), baseline_mean=full.baseline_mean, final_moments=full.final_moments
+    )
+    model = fit_state_evolution(features, TINY, seed=order, time_homogeneous=time_homogeneous)
+    assert (model.period_models is None) == time_homogeneous
+    for allocation, p in ((AllocationScenario.ALL_TREATED, 1.0), (AllocationScenario.ALL_CONTROL, 0.0)):
+        traj = counterfactual_evolution(model, full.baseline_mean, allocation, d.n_periods)
+        np.testing.assert_allclose(traj.means, loop_evolution(model, full.baseline_mean, p, d.n_periods), rtol=1e-12)

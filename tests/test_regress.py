@@ -3,6 +3,7 @@ import pytest
 
 from interference_lab.regress import (
     DegenerateDesignError,
+    _ridge_cv_errors,
     LearnerConfig,
     cross_validate,
     fit_learner,
@@ -183,3 +184,85 @@ def test_learner_config_round_trip_and_validation():
         LearnerConfig.from_dict({"kind": "ridge", "bogus": 1})
     with pytest.raises(ValueError):
         LearnerConfig(kind="forest")
+
+
+def loop_cv_errors(X, y, grid, folds, center=True):
+    """Reference for the batched ridge CV: one `ridge_fit` per fold and grid value."""
+    k = int(folds.max()) + 1
+    errs = []
+    for lam in grid:
+        fold_errs = []
+        for j in range(k):
+            train, test = folds != j, folds == j
+            model = ridge_fit(X[train], y[train], lam, center=center)
+            fold_errs.append(float(np.mean((predict(model, X[test]) - y[test]) ** 2)))
+        errs.append(float(np.mean(fold_errs)))
+    return errs
+
+
+def fold_condition(X, grid, folds, center=True):
+    """Largest condition number of the fold systems, per grid value."""
+    conds = []
+    for lam in grid:
+        worst = 1.0
+        for j in range(int(folds.max()) + 1):
+            Xt = X[folds != j]
+            Xc = Xt - Xt.mean(axis=0) if center else Xt
+            worst = max(worst, np.linalg.cond(Xc.T @ Xc + lam * np.eye(X.shape[1])))
+        conds.append(worst)
+    return np.asarray(conds)
+
+
+def loop_cv_choice(grid, errs):
+    best_lam, best_err = None, np.inf
+    for lam, err in zip(grid, errs):
+        if err <= best_err:
+            best_lam, best_err = lam, err
+    return best_lam
+
+
+@pytest.mark.parametrize("center", [True, False])
+def test_batched_cross_validate_matches_ridge_fit_loop(center):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(10, 60)), int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        if d > 1 and seed % 3 == 0:  # near-collinear columns, as in cmp's interaction feature
+            X[:, -1] = X[:, 0] + 1e-3 * rng.normal(size=n)
+        y = X @ rng.normal(size=d) + rng.uniform(0.0, 2.0) * rng.normal(size=n) + rng.normal()
+        grid = sorted(float(v) for v in np.logspace(-8, 3, int(rng.integers(2, 11))))
+        folds = fold_assignments(n, k, seed)
+        want = loop_cv_errors(X, y, grid, folds, center=center)
+        got = _ridge_cv_errors(X, y, grid, folds, k, center)
+        # the two routes round differently; a solve's relative error grows with the condition number
+        rtol = 1e3 * np.finfo(float).eps * fold_condition(X, grid, folds, center)
+        assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+        chosen = cross_validate(X, y, grid, k_folds=k, seed=seed, center=center)
+        assert chosen == loop_cv_choice(grid, want)
+
+
+@pytest.mark.parametrize("center", [True, False])
+def test_batched_cross_validate_exact_tie_matches_loop(center):
+    X = np.arange(12.0).reshape(-1, 2)
+    y = np.zeros(6)  # every lam predicts zero exactly: all errors tie
+    grid = [1e-3, 0.1, 1.0, 10.0]
+    folds = fold_assignments(6, 3, seed=5)
+    errs = _ridge_cv_errors(X, y, grid, folds, 3, center)
+    assert errs.tolist() == loop_cv_errors(X, y, grid, folds, center=center)
+    assert len(set(errs.tolist())) == 1
+    assert cross_validate(X, y, grid, k_folds=3, seed=5, center=center) == 10.0
+
+
+def test_batched_cross_validate_rank_deficient_lam_zero():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(20, 1))
+    X = np.hstack([x, 2.0 * x])  # duplicate direction: singular at lam=0
+    y = rng.normal(size=20)
+    folds = fold_assignments(20, 4, seed=1)
+    with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+        loop_cv_errors(X, y, [0.0, 1.0], folds)
+    with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+        cross_validate(X, y, [1.0, 0.0], k_folds=4, seed=1)
+    assert cross_validate(X, y, [0.1, 1.0], k_folds=4, seed=1) in (0.1, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cross_validate(X, y, [-1.0, 1.0], k_folds=4, seed=1)
