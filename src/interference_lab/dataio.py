@@ -12,12 +12,24 @@ Rows are ordered by unit id, then time, and floats are written in shortest
 round-trip form, so saving the same dataset twice produces byte-identical
 files. Connected units with no edges are not representable (graph.csv is an
 edge list); save_dataset rejects them.
+
+Reading and writing are columnar. A file is tokenised once by `csv.reader`
+(its quoting and line-ending rules are the accepted dialect); each column is
+parsed by Python's own `int` or `float`, every row check runs as an array
+mask, and each panel is filled by one scatter. Only when a check fails is the
+first offending row, in file order, looked at on its own to phrase the
+`file:line` error. Saving builds each file's text from whole columns and
+writes it once.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import math
+from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +55,16 @@ class DataFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_text(path: Path, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _panel_text(header: str, ids: range, t_first: int, columns: list[list]) -> str:
+    """Long-format rows `id,t,value` of a unit-by-period panel given as one list per period."""
+    # One format call per unit: the template holds every period's row.
+    template = "".join(f"{{0}},{t_first + t},{{{t + 1}!r}}\n" for t in range(len(columns)))
+    return header + "".join(map(template.format, ids, *columns))
 
 
 def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
@@ -67,70 +87,124 @@ def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
                 "not representable in graph.csv"
             )
 
+    ids = range(1, n + 1)
     k = d.covariates.n_features if d.covariates is not None else 0
-    with open(out / "units.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["unit_id", "eligible"] + [f"x_{j + 1}" for j in range(k)])
-        for i in range(n):
-            row = [str(i + 1), "1"]
-            if k:
-                row += [_fmt(v) for v in d.covariates.values[i]]
-            w.writerow(row)
-        if d.graph is not None:
-            ineligible = np.sort(d.graph.treatment_ids[~d.graph.eligible])
-            for uid in ineligible:
-                w.writerow([str(uid), "0"] + [""] * k)
+    template = "{0},1" + "".join(f",{{{j + 1}!r}}" for j in range(k)) + "\n"
+    covariate_columns = d.covariates.values.T.tolist() if k else []
+    units = [",".join(["unit_id", "eligible"] + [f"x_{j + 1}" for j in range(k)]) + "\n"]
+    units += map(template.format, ids, *covariate_columns)
+    if d.graph is not None:
+        ineligible = np.sort(d.graph.treatment_ids[~d.graph.eligible]).tolist()
+        units += map(f"{{}},0{',' * k}\n".format, ineligible)
+    _write_text(out / "units.csv", "".join(units))
 
-    with open(out / "treatments.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["unit_id", "t", "w"])
-        a = d.treatments.assignments
-        for i in range(n):
-            for t in range(T):
-                w.writerow([str(i + 1), str(t + 1), str(int(a[i, t]))])
+    # Both panels hold Python ints and floats, whose repr is the shortest round-trip form.
+    _write_text(out / "treatments.csv",
+                _panel_text("unit_id,t,w\n", ids, 1, d.treatments.assignments.T.tolist()))
+    _write_text(out / "outcomes.csv",
+                _panel_text("unit_id,t,y\n", ids, 0, d.outcomes.outcomes.T.tolist()))
 
-    with open(out / "outcomes.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["unit_id", "t", "y"])
-        y = d.outcomes.outcomes
-        for i in range(n):
-            for t in range(T + 1):
-                w.writerow([str(i + 1), str(t), _fmt(y[i, t])])
-
+    graph_file = out / "graph.csv"
     if d.graph is not None:
         g = d.graph
         order = np.lexsort((g.edge_connected, g.edge_treatment))
-        with open(out / "graph.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["treatment_unit_id", "connected_unit_id", "weight"])
-            for e in order:
-                w.writerow([str(g.edge_treatment[e]), str(g.edge_connected[e]), _fmt(g.edge_weight[e])])
-    else:
-        graph_file = out / "graph.csv"
-        if graph_file.exists():
-            graph_file.unlink()
+        edges = map("{},{},{!r}\n".format, g.edge_treatment[order].tolist(), g.edge_connected[order].tolist(),
+                    g.edge_weight[order].tolist())
+        _write_text(graph_file, "treatment_unit_id,connected_unit_id,weight\n" + "".join(edges))
+    elif graph_file.exists():
+        graph_file.unlink()
 
     meta = {"n_periods": T, "pre_period_end": d.pre_period_end, "design": d.treatments.design_tag}
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_rows(path: Path, expected_header: list[str], allow_extra: bool = False):
+def _not_utf8(path: Path) -> DataFormatError:
+    """The error for a file that does not decode as UTF-8, at the line of its first bad byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataFormatError(path.name, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})")
+    return DataFormatError(path.name, None, "not UTF-8 text")
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector: building a file's rows allocates one list per row, none of
+    them in a cycle, and the collections that allocation triggers cost more than the tokenising."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_table(path: Path, expected_header: list[str], allow_extra: bool = False):
+    """(header, rows, lines): the file's non-blank records after the header and their line numbers."""
     if not path.exists():
         raise DataFormatError(path.name, None, "missing file")
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(path.name, 1, "empty file, header required") from None
-        if header[: len(expected_header)] != expected_header or (
-            not allow_extra and len(header) != len(expected_header)
-        ):
-            raise DataFormatError(
-                path.name, 1, f"expected header starting {','.join(expected_header)}, got {','.join(header)}"
-            )
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
-    return header, rows
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(path.name, 1, "empty file, header required")
+            if header[: len(expected_header)] != expected_header or (
+                not allow_extra and len(header) != len(expected_header)
+            ):
+                raise DataFormatError(
+                    path.name, 1, f"expected header starting {','.join(expected_header)}, got {','.join(header)}"
+                )
+            with _gc_paused():
+                rows = list(reader)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except csv.Error as exc:
+            raise DataFormatError(path.name, reader.line_num, str(exc)) from None
+    # A line number counts records, blank ones included: record i is line i + 2.
+    if all(rows):
+        return header, rows, np.arange(2, len(rows) + 2)
+    kept = [i for i, row in enumerate(rows) if row]
+    return header, [rows[i] for i in kept], np.array(kept, dtype=np.intp) + 2
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first True in `mask`, else `default`."""
+    return int(mask.argmax()) if mask.any() else default
+
+
+def _parse_column(rows: list, j: int, parse, dtype) -> tuple[np.ndarray, int]:
+    """(values, n_ok): cell j of each row through `parse`; n_ok is the first row it rejects, else len(rows)."""
+    try:
+        return np.fromiter(map(parse, map(itemgetter(j), rows)), dtype, len(rows)), len(rows)
+    except (ValueError, KeyError, OverflowError):
+        pass
+    values = []
+    try:
+        values.extend(map(parse, map(itemgetter(j), rows)))
+    except (ValueError, KeyError):
+        pass
+    try:
+        return np.array(values, dtype=dtype), len(values)
+    except OverflowError:  # ints beyond int64 stay Python ints, as the row checks see them
+        return np.array(values, dtype=object), len(values)
+
+
+def _parse_columns(rows: list, parsers: list) -> tuple[list[np.ndarray], int]:
+    """Columns of the rows through `parsers`, cut at `stop`: the first row of the wrong width or with a
+    cell its parser rejects (len(rows) when there is none)."""
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    stop = _first(widths != len(parsers), len(rows))
+    head = rows[:stop] if stop < len(rows) else rows
+    columns = []
+    for j, (parse, dtype) in enumerate(parsers):
+        values, n_ok = _parse_column(head, j, parse, dtype)
+        columns.append(values)
+        stop = min(stop, n_ok)
+    return [values[:stop] for values in columns], stop
 
 
 def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
@@ -140,13 +214,22 @@ def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
         raise DataFormatError(path.name, lineno, f"non-integer {what}: {value!r}") from None
 
 
+def _float_error(value: str, path: Path, lineno: int, what: str) -> DataFormatError:
+    """The error for a cell that float() rejects or reads as non-finite."""
+    try:
+        float(value)
+    except ValueError:
+        return DataFormatError(path.name, lineno, f"non-numeric {what}: {value!r}")
+    return DataFormatError(path.name, lineno, f"non-finite {what}: {value!r}")
+
+
 def _parse_float(value: str, path: Path, lineno: int, what: str) -> float:
     try:
         x = float(value)
     except ValueError:
-        raise DataFormatError(path.name, lineno, f"non-numeric {what}: {value!r}") from None
-    if not np.isfinite(x):
-        raise DataFormatError(path.name, lineno, f"non-finite {what}: {value!r}")
+        raise _float_error(value, path, lineno, what) from None
+    if not math.isfinite(x):
+        raise _float_error(value, path, lineno, what)
     return x
 
 
@@ -156,8 +239,12 @@ def _load_meta(root: Path) -> dict:
         raise DataFormatError("meta.json", None, "missing file")
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise DataFormatError("meta.json", exc.lineno, exc.msg) from None
+    if not isinstance(meta, dict):
+        raise DataFormatError("meta.json", None, f"must be a JSON object, got {type(meta).__name__}")
     for key in ("n_periods", "pre_period_end", "design"):
         if key not in meta:
             raise DataFormatError("meta.json", None, f"missing key {key!r}")
@@ -170,39 +257,70 @@ def _load_meta(root: Path) -> dict:
     return meta
 
 
-def _load_panel_file(path: Path, col: str, n: int, t_range: tuple[int, int], parse):
-    _, rows = _read_rows(path, ["unit_id", "t", col])
-    t_lo, t_hi = t_range
+_W_CODES = {"0": 0, "1": 1}
+
+
+def _raise_panel_row_error(path: Path, row: list[str], lineno: int, col: str, n: int, t_lo: int, t_hi: int,
+                           earlier_keys: np.ndarray):
+    """Phrase a panel row's first failing check, in the order the checks apply to a row.
+
+    `earlier_keys` are the flat (unit, t) cells of the rows before it, all of which passed."""
+    if len(row) != 3:
+        raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
+    uid = _parse_int(row[0], path, lineno, "unit_id")
+    t = _parse_int(row[1], path, lineno, "t")
+    if not 1 <= uid <= n:
+        raise DataFormatError(path.name, lineno, f"unit_id {uid} outside 1..{n}")
+    if not t_lo <= t <= t_hi:
+        raise DataFormatError(path.name, lineno, f"t={t} outside {t_lo}..{t_hi}")
+    if np.any(earlier_keys == (uid - 1) * (t_hi - t_lo + 1) + t - t_lo):
+        raise DataFormatError(path.name, lineno, f"duplicate entry for unit {uid}, t={t}")
+    if col == "w":
+        raise DataFormatError(path.name, lineno, f"w must be 0 or 1, got {row[2]!r}")
+    raise _float_error(row[2], path, lineno, col)
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Index of the first key equal to an earlier one, else len(keys)."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else len(keys)
+
+
+def _load_panel_file(path: Path, col: str, n: int, t_lo: int, t_hi: int) -> np.ndarray:
+    """The n x (t_hi - t_lo + 1) panel of a `unit_id,t,<col>` file: int8 for w, float for y."""
+    _, rows, lines = _read_table(path, ["unit_id", "t", col])
+    value_parser = (_W_CODES.__getitem__, np.int8) if col == "w" else (float, np.float64)
+    (uid, t, values), stop = _parse_columns(rows, [(int, np.int64), (int, np.int64), value_parser])
     width = t_hi - t_lo + 1
-    matrix = np.full((n, width), np.nan)
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
-        uid = _parse_int(row[0], path, lineno, "unit_id")
-        t = _parse_int(row[1], path, lineno, "t")
-        if not 1 <= uid <= n:
-            raise DataFormatError(path.name, lineno, f"unit_id {uid} outside 1..{n}")
-        if not t_lo <= t <= t_hi:
-            raise DataFormatError(path.name, lineno, f"t={t} outside {t_lo}..{t_hi}")
-        if not np.isnan(matrix[uid - 1, t - t_lo]):
-            raise DataFormatError(path.name, lineno, f"duplicate entry for unit {uid}, t={t}")
-        matrix[uid - 1, t - t_lo] = parse(row[2], path, lineno)
-    missing = np.argwhere(np.isnan(matrix))
+    in_range = (uid >= 1) & (uid <= n) & (t >= t_lo) & (t <= t_hi)
+    ok = in_range if col == "w" else in_range & np.isfinite(values)
+    keys = ((uid[in_range] - 1) * width + (t[in_range] - t_lo)).astype(np.int64)
+    counts = np.bincount(keys, minlength=n * width)
+    if stop < len(rows) or not ok.all() or counts.max(initial=0) > 1:
+        in_range_rows = np.flatnonzero(in_range)
+        repeat = _first_repeat(keys)
+        first_duplicate = int(in_range_rows[repeat]) if repeat < keys.size else len(rows)
+        bad = min(_first(~ok, stop), first_duplicate)
+        _raise_panel_row_error(path, rows[bad], int(lines[bad]), col, n, t_lo, t_hi, keys[:bad])
+    missing = np.flatnonzero(counts == 0)
     if missing.size:
-        i, t = missing[0]
-        raise DataFormatError(path.name, None, f"missing entry for unit {i + 1}, t={t + t_lo}")
-    return matrix
+        i, t_missing = divmod(int(missing[0]), width)
+        raise DataFormatError(path.name, None, f"missing entry for unit {i + 1}, t={t_missing + t_lo}")
+    matrix = np.empty(n * width, dtype=values.dtype)
+    matrix[keys] = values
+    return matrix.reshape(n, width)
 
 
 def _load_units(root: Path):
     path = root / "units.csv"
-    header, rows = _read_rows(path, ["unit_id", "eligible"], allow_extra=True)
+    header, rows, lines = _read_table(path, ["unit_id", "eligible"], allow_extra=True)
     cov_names = header[2:]
     for j, name in enumerate(cov_names):
         if name != f"x_{j + 1}":
             raise DataFormatError(path.name, 1, f"covariate columns must be x_1..x_k, got {name!r}")
     records = []
-    for lineno, row in rows:
+    for lineno, row in zip(lines.tolist(), rows):
         if len(row) != len(header):
             raise DataFormatError(path.name, lineno, f"expected {len(header)} columns, got {len(row)}")
         uid = _parse_int(row[0], path, lineno, "unit_id")
@@ -237,30 +355,30 @@ def _load_units(root: Path):
     return n, ineligible_ids, covariates
 
 
+def _raise_graph_row_error(path: Path, row: list[str], lineno: int, n_eligible: int, ineligible_ids: list[int]):
+    """Phrase a graph row's first failing check, in the order the checks apply to a row."""
+    if len(row) != 3:
+        raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
+    tid = _parse_int(row[0], path, lineno, "treatment_unit_id")
+    _parse_int(row[1], path, lineno, "connected_unit_id")
+    weight = _parse_float(row[2], path, lineno, "weight")
+    if not (1 <= tid <= n_eligible or tid in ineligible_ids):
+        raise DataFormatError(path.name, lineno, f"treatment unit {tid} not listed in units.csv")
+    raise DataFormatError(path.name, lineno, f"negative weight {weight}")
+
+
 def _load_graph(root: Path, n_eligible: int, ineligible_ids: list[int]) -> BipartiteGraph:
     path = root / "graph.csv"
-    _, rows = _read_rows(path, ["treatment_unit_id", "connected_unit_id", "weight"])
-    known = set(range(1, n_eligible + 1)) | set(ineligible_ids)
-    et, ec, ew = [], [], []
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
-        tid = _parse_int(row[0], path, lineno, "treatment_unit_id")
-        cid = _parse_int(row[1], path, lineno, "connected_unit_id")
-        weight = _parse_float(row[2], path, lineno, "weight")
-        if tid not in known:
-            raise DataFormatError(path.name, lineno, f"treatment unit {tid} not listed in units.csv")
-        if weight < 0:
-            raise DataFormatError(path.name, lineno, f"negative weight {weight}")
-        et.append(tid)
-        ec.append(cid)
-        ew.append(weight)
-    treatment_ids = list(range(1, n_eligible + 1)) + ineligible_ids
-    eligible = [True] * n_eligible + [False] * len(ineligible_ids)
+    _, rows, lines = _read_table(path, ["treatment_unit_id", "connected_unit_id", "weight"])
+    (et, ec, ew), stop = _parse_columns(rows, [(int, np.int64), (int, np.int64), (float, np.float64)])
+    known = ((et >= 1) & (et <= n_eligible)) | np.isin(et, ineligible_ids)
+    bad = _first(~(known & np.isfinite(ew) & (ew >= 0)), stop)
+    if bad < len(rows):
+        _raise_graph_row_error(path, rows[bad], int(lines[bad]), n_eligible, ineligible_ids)
     return BipartiteGraph(
-        treatment_ids=treatment_ids,
-        eligible=eligible,
-        connected_ids=np.unique(np.asarray(ec, dtype=np.int64)) if ec else np.empty(0, dtype=np.int64),
+        treatment_ids=list(range(1, n_eligible + 1)) + ineligible_ids,
+        eligible=[True] * n_eligible + [False] * len(ineligible_ids),
+        connected_ids=np.unique(np.asarray(ec, dtype=np.int64)),
         edge_treatment=et,
         edge_connected=ec,
         edge_weight=ew,
@@ -276,16 +394,8 @@ def load_dataset(path: str | Path) -> ExperimentDataset:
     meta = _load_meta(root)
     T = meta["n_periods"]
     n, ineligible_ids, covariates = _load_units(root)
-
-    def parse_w(cell, p, lineno):
-        if cell not in ("0", "1"):
-            raise DataFormatError(p.name, lineno, f"w must be 0 or 1, got {cell!r}")
-        return int(cell)
-
-    assignments = _load_panel_file(root / "treatments.csv", "w", n, (1, T), parse_w)
-    outcomes = _load_panel_file(
-        root / "outcomes.csv", "y", n, (0, T), lambda cell, p, ln: _parse_float(cell, p, ln, "y")
-    )
+    assignments = _load_panel_file(root / "treatments.csv", "w", n, 1, T)
+    outcomes = _load_panel_file(root / "outcomes.csv", "y", n, 0, T)
 
     graph = None
     if (root / "graph.csv").exists():
@@ -295,7 +405,7 @@ def load_dataset(path: str | Path) -> ExperimentDataset:
 
     dataset = ExperimentDataset(
         outcomes=OutcomePanel(outcomes),
-        treatments=TreatmentPanel(assignments.astype(np.int8), design_tag=meta["design"]),
+        treatments=TreatmentPanel(assignments, design_tag=meta["design"]),
         pre_period_end=meta["pre_period_end"],
         graph=graph,
         covariates=covariates,

@@ -197,7 +197,9 @@ def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: 
     for t in range(1, T + 1):
         w_t = w_full[:, t - 1]
         treated_neighbors = np.bincount(c_idx, weights=w_t[t_idx], minlength=g.n_connected_units)
-        tau = treated_neighbors / neighbor_count
+        # A connected unit with no edges has no neighbours to be treated: its tau is 0, not 0/0.
+        tau = np.divide(treated_neighbors, neighbor_count, out=np.zeros_like(treated_neighbors),
+                        where=neighbor_count > 0)
         y_edge = (1 - p.rho) * b_edge + p.rho * y_edge + p.beta * w_t[t_idx] + p.gamma * tau[c_idx]
         if noise is not None:
             y_edge = y_edge + noise[:, t - 1]

@@ -113,6 +113,31 @@ def test_missing_dataset_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def append_to_line_2(data: bytes, extra: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[1] += extra
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, where",
+    [
+        ("outcomes.csv", lambda data: append_to_line_2(data, b"9" * 131073), "outcomes.csv:2: field larger"),
+        ("outcomes.csv", lambda data: append_to_line_2(data, b"\xe9"), "outcomes.csv:2: not UTF-8"),
+        ("meta.json", lambda data: b"[1]", "meta.json: must be a JSON object"),
+    ],
+    ids=["oversized_cell", "non_utf8", "meta_not_object"],
+)
+def test_bad_dataset_file_exits_one_naming_it(tmp_path, scenario_file, capsys, name, corrupt, where):
+    data_dir = tmp_path / "data"
+    cli_main(["simulate", "--config", scenario_file, "--out", str(data_dir)])
+    path = data_dir / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    code = cli_main(["estimate", "--data", str(data_dir), "--method", "basic", "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
 def test_network_without_graph_exits_one(tmp_path, scenario_file, capsys):
     data_dir = tmp_path / "data"
     cli_main(["simulate", "--config", scenario_file, "--out", str(data_dir)])

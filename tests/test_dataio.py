@@ -1,9 +1,11 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from interference_lab.core import BipartiteGraph, datasets_equal, validate_dataset
+import reference_dataio
+from interference_lab.core import BipartiteGraph, OutcomePanel, UnitCovariates, datasets_equal, validate_dataset
 from interference_lab.dataio import DataFormatError, load_dataset, save_dataset
 from interference_lab.sim import DgpParams, GraphParams, RolloutParams, simulate_experiment
 
@@ -137,3 +139,278 @@ def test_save_refuses_invalid_dataset(tmp_path):
     d = dataclasses.replace(small_dataset(), pre_period_end=9)
     with pytest.raises(ValueError, match="invalid dataset"):
         save_dataset(d, tmp_path)
+
+
+# --- columnar reader and writer against the line-by-line reference -------------------------------
+
+
+def covariate_dataset():
+    d = simulated_dataset(seed=11)
+    x = np.random.default_rng(3).normal(size=(d.n_units, 3))
+    return dataclasses.replace(d, covariates=UnitCovariates(x))
+
+
+def lognormal_dataset():
+    return simulate_experiment(
+        GraphParams(n_eligible=15, n_ineligible=4, n_connected=25, avg_degree=2.0, weight_mode="lognormal"),
+        DgpParams(beta=1.0, gamma=-0.5, rho=0.3, sigma=1.0, baseline_mean=10.0, baseline_sd=2.0),
+        RolloutParams((2, 4), (0.2, 0.6)),
+        T=6,
+        seed=5,
+    )
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-7, -1.5e300, 123456789.125, 2.0**-1022]
+
+
+def edge_float_dataset():
+    d = covariate_dataset()
+    y = d.outcomes.outcomes.copy()
+    y.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    x = d.covariates.values.copy()
+    x.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS[::-1]
+    weights = d.graph.edge_weight.copy()
+    weights[:5] = [5e-324, 1e16, -0.0, 0.0, 0.1 + 0.2]
+    return dataclasses.replace(
+        d,
+        outcomes=OutcomePanel(y),
+        covariates=UnitCovariates(x),
+        graph=dataclasses.replace(d.graph, edge_weight=weights),
+    )
+
+
+SAVE_CASES = {
+    "graph": simulated_dataset,
+    "graph_covariates": covariate_dataset,
+    "no_graph": lambda: small_dataset(with_graph=False),
+    "no_graph_covariates": lambda: small_dataset(with_graph=False, with_covariates=True),
+    "lognormal_weights": lognormal_dataset,
+    "edge_floats": edge_float_dataset,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVE_CASES))
+def test_save_bytes_match_reference_writer(tmp_path, case):
+    d = SAVE_CASES[case]()
+    save_dataset(d, tmp_path / "new")
+    reference_dataio.save_dataset(d, tmp_path / "reference")
+    assert read_bytes(tmp_path / "new") == read_bytes(tmp_path / "reference")
+    assert datasets_equal(d, load_dataset(tmp_path / "new"))
+
+
+def test_edge_floats_survive_a_second_save(tmp_path):
+    d = edge_float_dataset()
+    save_dataset(d, tmp_path / "a")
+    save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
+    assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
+    assert "-0.0" in (tmp_path / "b" / "outcomes.csv").read_text()
+
+
+def load_outcome(loader, path):
+    """('ok', dataset) or (exception type, message): what a loader makes of a directory."""
+    try:
+        return "ok", loader(path)
+    except Exception as exc:  # every failure kind must match the reference, not only DataFormatError
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_outcome(path):
+    new = load_outcome(load_dataset, path)
+    ref = load_outcome(reference_dataio.load_dataset, path)
+    if new[0] == ref[0] == "ok":
+        assert datasets_equal(new[1], ref[1])
+    else:
+        assert new == ref
+    return new
+
+
+# Edits of a saved file's text; line numbers are 1-based and count the header.
+def cell(line, col, value):
+    def edit(text):
+        lines = text.split("\n")
+        cells = lines[line - 1].split(",")
+        cells[col] = value
+        lines[line - 1] = ",".join(cells)
+        return "\n".join(lines)
+
+    return edit
+
+
+def put(line, row):
+    def edit(text):
+        lines = text.split("\n")
+        lines[line - 1] = row
+        return "\n".join(lines)
+
+    return edit
+
+
+def insert(line, row):
+    def edit(text):
+        lines = text.split("\n")
+        lines.insert(line - 1, row)
+        return "\n".join(lines)
+
+    return edit
+
+
+def drop(line):
+    def edit(text):
+        lines = text.split("\n")
+        del lines[line - 1]
+        return "\n".join(lines)
+
+    return edit
+
+
+def append(row):
+    return lambda text: text + row + "\n"
+
+
+def crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def chain(*edits):
+    """Apply the edits left to right."""
+
+    def edit(text):
+        for e in edits:
+            text = e(text)
+        return text
+
+    return edit
+
+
+# (file, edit, expected message, or "ok" when the edited file still loads)
+LOAD_CORPUS = {
+    # treatments.csv: rows 2..13 are units 1..3 x t=1..4
+    "w_two": ("treatments.csv", cell(3, 2, "2"), "treatments.csv:3: w must be 0 or 1, got '2'"),
+    "w_padded": ("treatments.csv", cell(3, 2, " 1"), "treatments.csv:3: w must be 0 or 1, got ' 1'"),
+    "w_float": ("treatments.csv", cell(3, 2, "1.0"), "treatments.csv:3: w must be 0 or 1, got '1.0'"),
+    "short_row": ("treatments.csv", put(4, "1,3"), "treatments.csv:4: expected 3 columns, got 2"),
+    "extra_column": ("treatments.csv", put(4, "1,3,1,9"), "treatments.csv:4: expected 3 columns, got 4"),
+    "unit_id_text": ("treatments.csv", cell(5, 0, "x"), "treatments.csv:5: non-integer unit_id: 'x'"),
+    "t_float": ("treatments.csv", cell(5, 1, "4.0"), "treatments.csv:5: non-integer t: '4.0'"),
+    "unit_id_range": ("treatments.csv", cell(6, 0, "9"), "treatments.csv:6: unit_id 9 outside 1..3"),
+    "unit_id_huge": ("treatments.csv", cell(6, 0, "99999999999999999999"),
+                     "treatments.csv:6: unit_id 99999999999999999999 outside 1..3"),
+    "t_zero": ("treatments.csv", cell(6, 1, "0"), "treatments.csv:6: t=0 outside 1..4"),
+    "range_before_value": ("treatments.csv", put(5, "7,4,9"), "treatments.csv:5: unit_id 7 outside 1..3"),
+    "duplicate": ("treatments.csv", append("1,1,0"), "treatments.csv:14: duplicate entry for unit 1, t=1"),
+    "duplicate_before_value": ("treatments.csv", insert(4, "1,1,7"),
+                               "treatments.csv:4: duplicate entry for unit 1, t=1"),
+    "missing": ("treatments.csv", drop(7), "treatments.csv: missing entry for unit 2, t=2"),
+    "two_errors": ("treatments.csv", chain(cell(9, 2, "5"), cell(4, 0, "x")),
+                   "treatments.csv:4: non-integer unit_id: 'x'"),
+    "error_before_duplicate": ("treatments.csv", chain(append("1,1,0"), cell(8, 1, "x")),
+                               "treatments.csv:8: non-integer t: 'x'"),
+    "duplicate_before_error": ("treatments.csv", chain(cell(10, 2, "x"), insert(3, "1,1,0")),
+                               "treatments.csv:3: duplicate entry for unit 1, t=1"),
+    "blank_lines": ("treatments.csv", chain(insert(3, ""), insert(7, ""), append("")), "ok"),
+    "blank_line_counts": ("treatments.csv", chain(cell(6, 2, "x"), insert(3, "")),
+                          "treatments.csv:7: w must be 0 or 1, got 'x'"),
+    "crlf": ("treatments.csv", crlf, "ok"),
+    "cr_line_ends": ("treatments.csv", lambda text: text.replace("\n", "\r"), "ok"),
+    "crlf_error": ("treatments.csv", chain(cell(3, 2, "2"), crlf), "treatments.csv:3: w must be 0 or 1, got '2'"),
+    "quoted_cells": ("treatments.csv", put(3, '"1","2","1"'), "ok"),
+    "quoted_newline": ("treatments.csv", chain(cell(5, 2, "x"), put(2, '"1\n",1,0')),
+                       "treatments.csv:5: w must be 0 or 1, got 'x'"),
+    "int_padded": ("treatments.csv", cell(3, 0, " 1"), "ok"),
+    "int_plus": ("treatments.csv", cell(3, 0, "+1"), "ok"),
+    "int_underscore": ("treatments.csv", cell(3, 1, "0_2"), "ok"),
+    "int_unicode_digit": ("treatments.csv", cell(2, 0, "١"), "ok"),
+    "t_underscore_range": ("treatments.csv", cell(3, 1, "1_0"), "treatments.csv:3: t=10 outside 1..4"),
+    "wrong_header": ("treatments.csv", put(1, "unit_id,t,treated"),
+                     "treatments.csv:1: expected header starting unit_id,t,w, got unit_id,t,treated"),
+    "header_extra_column": ("treatments.csv", put(1, "unit_id,t,w,z"),
+                            "treatments.csv:1: expected header starting unit_id,t,w, got unit_id,t,w,z"),
+    "empty_file": ("treatments.csv", lambda text: "", "treatments.csv:1: empty file, header required"),
+    "header_only": ("treatments.csv", lambda text: "unit_id,t,w\n", "treatments.csv: missing entry for unit 1, t=1"),
+    "not_monotone": ("treatments.csv", cell(4, 2, "0"), "invalid dataset: treatments.monotone"),
+    # outcomes.csv: rows 2..16 are units 1..3 x t=0..4
+    "y_nan": ("outcomes.csv", cell(4, 2, "nan"), "outcomes.csv:4: non-finite y: 'nan'"),
+    "y_minus_inf": ("outcomes.csv", cell(4, 2, "-inf"), "outcomes.csv:4: non-finite y: '-inf'"),
+    "y_overflow": ("outcomes.csv", cell(4, 2, "1e999"), "outcomes.csv:4: non-finite y: '1e999'"),
+    "y_text": ("outcomes.csv", cell(4, 2, "oops"), "outcomes.csv:4: non-numeric y: 'oops'"),
+    "y_empty": ("outcomes.csv", cell(4, 2, ""), "outcomes.csv:4: non-numeric y: ''"),
+    "y_hex": ("outcomes.csv", cell(4, 2, "0x1"), "outcomes.csv:4: non-numeric y: '0x1'"),
+    "y_quoted_comma": ("outcomes.csv", put(4, '1,2,"3,0"'), "outcomes.csv:4: non-numeric y: '3,0'"),
+    "y_forms": ("outcomes.csv", chain(cell(3, 2, " 1.0"), cell(4, 2, "+3.0"), cell(5, 2, "3_0.0"),
+                                      cell(6, 2, "INFINITY"[:0] + "3e0")), "ok"),
+    "y_t_range": ("outcomes.csv", cell(4, 1, "5"), "outcomes.csv:4: t=5 outside 0..4"),
+    "y_t_negative": ("outcomes.csv", cell(4, 1, "-1"), "outcomes.csv:4: t=-1 outside 0..4"),
+    "y_duplicate": ("outcomes.csv", append("3,4,0.5"), "outcomes.csv:17: duplicate entry for unit 3, t=4"),
+    "y_two_errors": ("outcomes.csv", chain(cell(10, 2, "nan"), cell(5, 2, "x")), "outcomes.csv:5: non-numeric y: 'x'"),
+    "y_missing": ("outcomes.csv", drop(16), "outcomes.csv: missing entry for unit 3, t=4"),
+    # graph.csv: rows 2..8 are the edges (1,1) (2,1) (2,2) (3,2) (3,3) (3,4) (4,4)
+    "negative_weight": ("graph.csv", cell(3, 2, "-1.5"), "graph.csv:3: negative weight -1.5"),
+    "negative_zero_weight": ("graph.csv", cell(3, 2, "-0.0"), "ok"),
+    "weight_nan": ("graph.csv", cell(3, 2, "nan"), "graph.csv:3: non-finite weight: 'nan'"),
+    "weight_text": ("graph.csv", cell(3, 2, "w"), "graph.csv:3: non-numeric weight: 'w'"),
+    "unknown_treatment_unit": ("graph.csv", cell(4, 0, "9"), "graph.csv:4: treatment unit 9 not listed in units.csv"),
+    "ineligible_treatment_unit": ("graph.csv", cell(2, 0, "4"), "ok"),
+    "unknown_before_negative": ("graph.csv", put(4, "9,2,-1.0"),
+                                "graph.csv:4: treatment unit 9 not listed in units.csv"),
+    "graph_two_errors": ("graph.csv", chain(cell(6, 2, "-1"), cell(3, 0, "x")),
+                         "graph.csv:3: non-integer treatment_unit_id: 'x'"),
+    "connected_id_text": ("graph.csv", cell(3, 1, "c"), "graph.csv:3: non-integer connected_unit_id: 'c'"),
+    "connected_id_huge": ("graph.csv", cell(3, 1, "99999999999999999999"), "Python int too large"),
+    "graph_short_row": ("graph.csv", put(5, "3,2"), "graph.csv:5: expected 3 columns, got 2"),
+    "duplicate_edge": ("graph.csv", append("1,1,1.0"), "invalid dataset: graph.duplicate_edge"),
+    "graph_header": ("graph.csv", put(1, "a,b,c"),
+                     "graph.csv:1: expected header starting treatment_unit_id,connected_unit_id,weight, got a,b,c"),
+    "graph_blank_and_crlf": ("graph.csv", chain(insert(4, ""), crlf), "ok"),
+    # units.csv: rows 2..4 are the eligible units with x_1,x_2; row 5 the ineligible unit 4
+    "units_blank_and_crlf": ("units.csv", chain(insert(3, ""), crlf), "ok"),
+    "eligible_two": ("units.csv", cell(3, 1, "2"), "units.csv:3: eligible must be 0 or 1, got '2'"),
+    "covariate_nan": ("units.csv", cell(4, 2, "nan"), "units.csv:4: non-finite x_1: 'nan'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_CORPUS))
+def test_load_matches_reference_reader(tmp_path, case):
+    name, edit, expected = LOAD_CORPUS[case]
+    save_dataset(small_dataset(with_covariates=True), tmp_path)
+    path = tmp_path / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8", newline="")
+    kind, result = assert_same_outcome(tmp_path)
+    if expected == "ok":
+        assert kind == "ok", result
+    else:
+        assert expected in result
+
+
+def write_bytes_into(path, line, data):
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += data
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("name", ["units.csv", "treatments.csv", "outcomes.csv", "graph.csv", "meta.json"])
+def test_non_utf8_byte_names_file_and_line(tmp_path, name):
+    save_dataset(small_dataset(with_covariates=True), tmp_path)
+    write_bytes_into(tmp_path / name, 3, b"\xe9")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value).startswith(f"{name}:3: not UTF-8 text: byte 0xe9")
+
+
+@pytest.mark.parametrize("name", ["units.csv", "treatments.csv", "outcomes.csv", "graph.csv"])
+def test_oversized_cell_names_file_and_line(tmp_path, name):
+    save_dataset(small_dataset(with_covariates=True), tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().split("\n")
+    lines[2] += "9" * (csv.field_size_limit() + 1)
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value).startswith(f"{name}:3: field larger than field limit")
+
+
+@pytest.mark.parametrize("meta", ["[1]", "3", '"staggered"', "null"])
+def test_meta_must_be_a_json_object(tmp_path, meta):
+    save_dataset(small_dataset(), tmp_path)
+    (tmp_path / "meta.json").write_text(meta)
+    with pytest.raises(DataFormatError, match="^meta.json: must be a JSON object, got "):
+        load_dataset(tmp_path)

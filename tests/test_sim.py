@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,25 @@ def test_interference_through_shared_connected_unit():
     y = simulate_outcomes(g, TreatmentPanel(a, design_tag="fixed"), p, seed=9).outcomes
     assert y[0, 1] == pytest.approx(y[0, 0] + 0.5)
     assert y[0, 2] == pytest.approx(y[0, 0] + 0.5)
+
+
+def test_connected_unit_without_edges_simulates_without_warning():
+    # connected unit 3 has no edges, so its treated fraction would be 0/0
+    g = BipartiteGraph(
+        treatment_ids=[1, 2],
+        eligible=[True, True],
+        connected_ids=[1, 2, 3],
+        edge_treatment=[1, 2],
+        edge_connected=[1, 2],
+        edge_weight=[1.0, 1.0],
+    )
+    p = DgpParams(beta=1.0, gamma=2.0, rho=0.3, sigma=0.5, baseline_mean=3.0, baseline_sd=1.0)
+    a = np.array([[0, 1, 1], [0, 0, 1]], dtype=np.int8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = simulate_outcomes(g, TreatmentPanel(a), p, seed=5).outcomes
+    assert y.shape == (2, 4)
+    assert np.isfinite(y).all()
 
 
 def test_no_interference_reduction_when_gamma_zero():
