@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import substream
+
 DESIGN_TAGS = ("staggered", "fixed", "free")
 METHODS = ("basic", "network_aware", "cmp")
+MAX_RESAMPLE_TRIES = 100
 
 
 def _locate(ids: np.ndarray, universe: np.ndarray):
@@ -95,6 +98,21 @@ class BipartiteGraph:
         pos, found = _locate(self.edge_treatment, self.treatment_ids)
         w = self.edge_weight if weighted else np.ones(self.n_edges)
         return np.bincount(pos[found], weights=w[found], minlength=self.n_treatment_units)
+
+    def zero_extend(self, a) -> np.ndarray:
+        """Float rows (1-d or 2-d) over every treatment unit; eligible-only rows get zeros for the ineligible."""
+        a = np.asarray(a, dtype=float)
+        n_elig = int(self.eligible.sum())
+        if a.ndim not in (1, 2) or len(a) not in (n_elig, self.n_treatment_units):
+            raise ValueError(
+                f"assignment of shape {a.shape}: expected {n_elig} (eligible) or "
+                f"{self.n_treatment_units} (all treatment units) rows"
+            )
+        if len(a) == self.n_treatment_units:
+            return a
+        full = np.zeros((self.n_treatment_units,) + a.shape[1:])
+        full[self.eligible] = a
+        return full
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +273,27 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
+
+
+def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, stream: str, n: int,
+                       statistic, valid=None) -> EffectEstimate:
+    """Percentile interval over `bootstrap.n_replicates` unit resamples of `n` units.
+
+    Draw b is a sorted multinomial resample of the unit indices from `substream(bootstrap.seed,
+    stream, b)`, redrawn on that generator until `valid(idx)` holds (at most MAX_RESAMPLE_TRIES
+    times); `statistic(idx, b)` scores it.
+    """
+    boot = np.empty(bootstrap.n_replicates)
+    for b in range(bootstrap.n_replicates):
+        rg = substream(bootstrap.seed, stream, b)
+        for _ in range(MAX_RESAMPLE_TRIES):
+            idx = np.sort(rg.integers(0, n, size=n))
+            if valid is None or valid(idx):
+                break
+        else:
+            raise RuntimeError(f"{method}: no valid bootstrap resample in {MAX_RESAMPLE_TRIES} draws")
+        boot[b] = statistic(idx, b)
+    return EffectEstimate.from_bootstrap(method, point, boot)
 
 
 def _graph_violations(g: BipartiteGraph) -> list[str]:

@@ -44,6 +44,8 @@ from .core import (
     validate_dataset,
 )
 
+_INT64 = np.iinfo(np.int64)
+
 
 class DataFormatError(ValueError):
     """Malformed or inconsistent dataset files, reported with file and line."""
@@ -189,8 +191,9 @@ def _parse_column(rows: list, j: int, parse, dtype) -> tuple[np.ndarray, int]:
         pass
     try:
         return np.array(values, dtype=dtype), len(values)
-    except OverflowError:  # ints beyond int64 stay Python ints, as the row checks see them
-        return np.array(values, dtype=object), len(values)
+    except OverflowError:  # an int beyond int64 ends the column, as a rejected cell does
+        n_ok = next(i for i, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
+        return np.array(values[:n_ok], dtype=dtype), n_ok
 
 
 def _parse_columns(rows: list, parsers: list) -> tuple[list[np.ndarray], int]:
@@ -214,6 +217,14 @@ def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
         raise DataFormatError(path.name, lineno, f"non-integer {what}: {value!r}") from None
 
 
+def _parse_id(value: str, path: Path, lineno: int, what: str) -> int:
+    """An integer cell that the graph stores in an int64 array."""
+    x = _parse_int(value, path, lineno, what)
+    if not _INT64.min <= x <= _INT64.max:
+        raise DataFormatError(path.name, lineno, f"{what} beyond the 64-bit integer range: {value!r}")
+    return x
+
+
 def _float_error(value: str, path: Path, lineno: int, what: str) -> DataFormatError:
     """The error for a cell that float() rejects or reads as non-finite."""
     try:
@@ -233,6 +244,11 @@ def _parse_float(value: str, path: Path, lineno: int, what: str) -> float:
     return x
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; `true` and `false` parse to bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_meta(root: Path) -> dict:
     path = root / "meta.json"
     if not path.exists():
@@ -248,9 +264,9 @@ def _load_meta(root: Path) -> dict:
     for key in ("n_periods", "pre_period_end", "design"):
         if key not in meta:
             raise DataFormatError("meta.json", None, f"missing key {key!r}")
-    if not isinstance(meta["n_periods"], int) or meta["n_periods"] < 1:
+    if not _is_int(meta["n_periods"]) or meta["n_periods"] < 1:
         raise DataFormatError("meta.json", None, f"n_periods must be a positive integer, got {meta['n_periods']!r}")
-    if not isinstance(meta["pre_period_end"], int):
+    if not _is_int(meta["pre_period_end"]):
         raise DataFormatError("meta.json", None, f"pre_period_end must be an integer, got {meta['pre_period_end']!r}")
     if meta["design"] not in DESIGN_TAGS:
         raise DataFormatError("meta.json", None, f"unknown design {meta['design']!r}")
@@ -323,7 +339,7 @@ def _load_units(root: Path):
     for lineno, row in zip(lines.tolist(), rows):
         if len(row) != len(header):
             raise DataFormatError(path.name, lineno, f"expected {len(header)} columns, got {len(row)}")
-        uid = _parse_int(row[0], path, lineno, "unit_id")
+        uid = _parse_id(row[0], path, lineno, "unit_id")
         if row[1] not in ("0", "1"):
             raise DataFormatError(path.name, lineno, f"eligible must be 0 or 1, got {row[1]!r}")
         records.append((lineno, uid, row[1] == "1", row[2:]))
@@ -360,7 +376,7 @@ def _raise_graph_row_error(path: Path, row: list[str], lineno: int, n_eligible: 
     if len(row) != 3:
         raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
     tid = _parse_int(row[0], path, lineno, "treatment_unit_id")
-    _parse_int(row[1], path, lineno, "connected_unit_id")
+    _parse_id(row[1], path, lineno, "connected_unit_id")
     weight = _parse_float(row[2], path, lineno, "weight")
     if not (1 <= tid <= n_eligible or tid in ineligible_ids):
         raise DataFormatError(path.name, lineno, f"treatment unit {tid} not listed in units.csv")

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BootstrapConfig, EffectEstimate, ExperimentDataset
+from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, bootstrap_estimate
 from .regress import LearnerConfig, fit_learner, predict
-from .rng import child_seed, substream
+from .rng import child_seed
 
 
 def _pre_post_arrays(d: ExperimentDataset):
@@ -28,32 +28,33 @@ def _pre_post_arrays(d: ExperimentDataset):
     return delta, treated, x
 
 
-def _design(treated: np.ndarray, x: np.ndarray | None) -> np.ndarray:
-    cols = [treated.astype(float)[:, None]]
-    if x is not None:
-        cols.append(x)
-    return np.hstack(cols)
+def _has_variation(rows: np.ndarray) -> bool:
+    """True unless the rows are all identical (or there are none)."""
+    return len(rows) > 0 and bool(np.ptp(rows, axis=0).any())
 
 
-def _contrast(delta, treated, x, idx, learner: LearnerConfig, seed: int) -> float:
-    """Refit on the index multiset and average prediction(treated) - prediction(control)."""
-    sub_t = treated[idx]
-    model, _ = fit_learner(_design(sub_t, None if x is None else x[idx]), delta[idx], learner, seed=seed)
-    x_sub = None if x is None else x[idx]
-    design_1 = _design(np.ones(len(idx)), x_sub)
-    design_0 = _design(np.zeros(len(idx)), x_sub)
-    return float(np.mean(predict(model, design_1) - predict(model, design_0)))
+def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delta: np.ndarray,
+                      z_treated: np.ndarray, learner: LearnerConfig, bootstrap: BootstrapConfig) -> EffectEstimate:
+    """Mean predicted delta with the treatment columns at their all-treated values minus at zero.
 
+    `design` is [treatment columns z, covariates] and `z_treated` holds z's all-treated values.
+    The point uses the fitted `model`; each bootstrap draw refits delta on the resampled
+    design rows, redrawing until z varies on the resample.
+    """
+    k = z_treated.shape[1]
+    design_1 = np.hstack([z_treated, design[:, k:]])
+    design_0 = np.hstack([np.zeros_like(z_treated), design[:, k:]])
 
-def _resample_two_arms(rg, treated: np.ndarray, max_tries: int = 100) -> np.ndarray:
-    """Unit resample with replacement, redrawn until both arms are present."""
-    n = len(treated)
-    for _ in range(max_tries):
-        idx = np.sort(rg.integers(0, n, size=n))
-        picked = treated[idx]
-        if picked.any() and not picked.all():
-            return idx
-    raise RuntimeError("could not draw a bootstrap resample containing both arms")
+    def contrast(fit, idx) -> float:
+        return float(np.mean(predict(fit, design_1[idx]) - predict(fit, design_0[idx])))
+
+    def refit(idx, b) -> float:
+        fit, _ = fit_learner(design[idx], delta[idx], learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
+        return contrast(fit, idx)
+
+    point = contrast(model, slice(None))
+    return bootstrap_estimate(method, point, bootstrap, stream, len(design), refit,
+                              valid=lambda idx: _has_variation(design[idx, :k]))
 
 
 def estimate_basic(
@@ -73,12 +74,7 @@ def estimate_basic(
     if treated.all() or not treated.any():
         raise ValueError("estimate_basic needs both treated and control units")
 
-    all_idx = np.arange(d.n_units)
-    point = _contrast(delta, treated, x, all_idx, learner, seed=child_seed(bootstrap.seed, "fit"))
-
-    boot = np.empty(bootstrap.n_replicates)
-    for b in range(bootstrap.n_replicates):
-        rg = substream(bootstrap.seed, "basic-boot", b)
-        idx = _resample_two_arms(rg, treated)
-        boot[b] = _contrast(delta, treated, x, idx, learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
-    return EffectEstimate.from_bootstrap("basic", point, boot)
+    z = treated.astype(float)[:, None]
+    design = z if x is None else np.hstack([z, x])
+    model, _ = fit_learner(design, delta, learner, seed=child_seed(bootstrap.seed, "fit"))
+    return _contrast_estimate("basic", "basic-boot", model, design, delta, np.ones_like(z), learner, bootstrap)

@@ -27,6 +27,7 @@ from .core import (
     OutcomePanel,
     TreatmentPanel,
     UnitCovariates,
+    bootstrap_estimate,
 )
 from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, fit_learner, ridge_fit
 from .rng import child_seed, substream
@@ -123,12 +124,8 @@ class StateEvolutionModel:
     """
 
     model: RidgeModel
-    columns: tuple[str, ...]
-    moment_order: int
-    lam: float
     interaction_center: float
     context_moments: np.ndarray
-    time_homogeneous: bool = True
     period_models: tuple[RidgeModel, ...] | None = None
 
     def __post_init__(self):
@@ -183,14 +180,7 @@ def fit_state_evolution(
         period_models = tuple(fits)
 
     return StateEvolutionModel(
-        model=model,
-        columns=features.columns,
-        moment_order=features.moment_order,
-        lam=lam,
-        interaction_center=center,
-        context_moments=features.final_moments,
-        time_homogeneous=time_homogeneous,
-        period_models=period_models,
+        model=model, interaction_center=center, context_moments=features.final_moments, period_models=period_models
     )
 
 
@@ -355,15 +345,13 @@ def estimate_tte_cmp(
         partition_seed=child_seed(config.seed, "partition"),
         fit_seed=child_seed(config.seed, "fit"),
     )
-    n = d.n_units
-    boot = np.empty(bootstrap.n_replicates)
-    for b in range(bootstrap.n_replicates):
-        rows = np.sort(substream(bootstrap.seed, "cmp-boot", b).integers(0, n, size=n))
-        resampled = subset_dataset(d, rows)
-        boot[b] = _cmp_point(
-            resampled,
+
+    def resampled_point(rows, b) -> float:
+        return _cmp_point(
+            subset_dataset(d, rows),
             config,
             partition_seed=child_seed(bootstrap.seed, "partition", b),
             fit_seed=child_seed(bootstrap.seed, "fit", b),
         )
-    return EffectEstimate.from_bootstrap("cmp", point, boot)
+
+    return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, resampled_point)

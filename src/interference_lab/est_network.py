@@ -15,27 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteGraph, BootstrapConfig, EffectEstimate, ExperimentDataset
-from .est_basic import _pre_post_arrays
-from .regress import DegenerateDesignError, LearnerConfig, fit_learner, predict
-from .rng import child_seed, substream
-
-
-def _full_assignment_vector(g: BipartiteGraph, w) -> np.ndarray:
-    """Final-period assignment per treatment unit, zero-extended over ineligible units."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("assignment must be a 1-d vector")
-    n_elig = int(g.eligible.sum())
-    if w.size == g.n_treatment_units:
-        return w
-    if w.size != n_elig:
-        raise ValueError(
-            f"assignment covers {w.size} units; expected {n_elig} (eligible) or "
-            f"{g.n_treatment_units} (all treatment units)"
-        )
-    full = np.zeros(g.n_treatment_units)
-    full[g.eligible] = w
-    return full
+from .est_basic import _contrast_estimate, _has_variation, _pre_post_arrays
+from .regress import DegenerateDesignError, LearnerConfig, fit_learner
 
 
 def _edge_indices(g: BipartiteGraph):
@@ -50,14 +31,14 @@ def _edge_indices(g: BipartiteGraph):
 
 def direct_exposure(g: BipartiteGraph, w, weighted: bool = False) -> np.ndarray:
     """Own treatment times connected-unit count (or total edge weight), per eligible unit."""
-    w_full = _full_assignment_vector(g, w)
+    w_full = g.zero_extend(w)
     e_dir = w_full * g.degrees(weighted=weighted)
     return e_dir[g.eligible]
 
 
 def indirect_exposure(g: BipartiteGraph, w, weighted: bool = False) -> np.ndarray:
     """Treated co-serving treatment units summed over each eligible unit's connected units."""
-    w_full = _full_assignment_vector(g, w)
+    w_full = g.zero_extend(w)
     t_idx, c_idx = _edge_indices(g)
     treated_per_connected = np.bincount(c_idx, weights=w_full[t_idx], minlength=g.n_connected_units)
     contrib = treated_per_connected[c_idx] - w_full[t_idx]
@@ -90,23 +71,15 @@ class OutcomeModel:
 
     model: object
     learner: LearnerConfig
-    lam: float
     design: np.ndarray
     targets: np.ndarray
-    n_covariates: int
     weighted: bool
-    residual_scale: float
 
     @property
     def exposure_ranges(self) -> np.ndarray:
         """(2, 2) observed [min, max] per exposure dimension."""
         e = self.design[:, :2]
         return np.stack([e.min(axis=0), e.max(axis=0)], axis=1)
-
-
-def _has_variation(rows: np.ndarray) -> bool:
-    """True unless the rows are all identical (or there are none)."""
-    return len(rows) > 0 and bool(np.ptp(rows, axis=0).any())
 
 
 def fit_psi(
@@ -126,35 +99,8 @@ def fit_psi(
     if not _has_variation(exposures):
         raise DegenerateDesignError("all exposure points identical; outcome model unidentified")
     design = exposures if covariates is None else np.hstack([exposures, covariates])
-    model, lam = fit_learner(design, outcomes, learner, seed=seed)
-    resid = outcomes - predict(model, design)
-    return OutcomeModel(
-        model=model,
-        learner=learner,
-        lam=lam,
-        design=design,
-        targets=outcomes,
-        n_covariates=0 if covariates is None else covariates.shape[1],
-        weighted=weighted,
-        residual_scale=float(resid.std()),
-    )
-
-
-def _resample_identified(rg, design: np.ndarray, max_tries: int = 100) -> np.ndarray:
-    """Unit resample redrawn until the exposure rows are not all identical."""
-    n = len(design)
-    for _ in range(max_tries):
-        idx = np.sort(rg.integers(0, n, size=n))
-        if _has_variation(design[idx, :2]):
-            return idx
-    raise RuntimeError("could not draw a bootstrap resample with exposure variation")
-
-
-def _contrast_points(om: OutcomeModel, cf_exposures: np.ndarray):
-    x = om.design[:, 2:]
-    design_1 = np.hstack([cf_exposures, x])
-    design_0 = np.hstack([np.zeros_like(cf_exposures), x])
-    return design_1, design_0
+    model, _ = fit_learner(design, outcomes, learner, seed=seed)
+    return OutcomeModel(model=model, learner=learner, design=design, targets=outcomes, weighted=weighted)
 
 
 def estimate_ptte(
@@ -172,18 +118,8 @@ def estimate_ptte(
     cf = counterfactual_exposures(g, all_units_treated=all_units_treated, weighted=om.weighted)
     if len(cf) != len(om.design):
         raise ValueError("graph eligible units do not match the fitted model's training rows")
-    design_1, design_0 = _contrast_points(om, cf)
-    point = float(np.mean(predict(om.model, design_1) - predict(om.model, design_0)))
-
-    boot = np.empty(bootstrap.n_replicates)
-    for b in range(bootstrap.n_replicates):
-        rg = substream(bootstrap.seed, "network-boot", b)
-        idx = _resample_identified(rg, om.design)
-        refit, _ = fit_learner(
-            om.design[idx], om.targets[idx], om.learner, seed=child_seed(bootstrap.seed, "boot-fit", b)
-        )
-        boot[b] = float(np.mean(predict(refit, design_1[idx]) - predict(refit, design_0[idx])))
-    return EffectEstimate.from_bootstrap("network_aware", point, boot)
+    return _contrast_estimate("network_aware", "network-boot", om.model, om.design, om.targets, cf, om.learner,
+                              bootstrap)
 
 
 def extrapolation_warnings(om: OutcomeModel, g: BipartiteGraph, all_units_treated: bool = False) -> list[str]:

@@ -154,26 +154,11 @@ def assign_staggered_rollout(n_units: int, T: int, rp: RolloutParams, seed: int)
     return TreatmentPanel(assignments, design_tag="staggered")
 
 
-def _full_assignment_matrix(g: BipartiteGraph, w: TreatmentPanel) -> np.ndarray:
-    """Assignment rows for every treatment unit, zero-extending over ineligible units."""
-    n_elig = int(g.eligible.sum())
-    a = w.assignments
-    if w.n_units == g.n_treatment_units:
-        if np.any(a[~g.eligible]):
-            raise ValueError("ineligible treatment units must stay at control")
-        return np.asarray(a, dtype=float)
-    if w.n_units != n_elig:
-        raise ValueError(
-            f"panel has {w.n_units} rows; expected {n_elig} (eligible) or {g.n_treatment_units} (all units)"
-        )
-    full = np.zeros((g.n_treatment_units, w.n_periods))
-    full[g.eligible] = a
-    return full
-
-
 def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: int) -> OutcomePanel:
     """Run the edge-level recursion; returns the eligible-unit outcome panel."""
-    w_full = _full_assignment_matrix(g, w)
+    w_full = g.zero_extend(w.assignments)
+    if np.any(w_full[~g.eligible]):
+        raise ValueError("ineligible treatment units must stay at control")
     T = w.n_periods
     rg = substream(seed, "outcomes")
     baselines = rg.normal(p.baseline_mean, p.baseline_sd, size=g.n_connected_units)

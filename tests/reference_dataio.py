@@ -122,6 +122,14 @@ def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
         raise DataFormatError(path.name, lineno, f"non-integer {what}: {value!r}") from None
 
 
+def _parse_id(value: str, path: Path, lineno: int, what: str) -> int:
+    """An integer cell that the graph stores in an int64 array."""
+    x = _parse_int(value, path, lineno, what)
+    if not -(2**63) <= x < 2**63:
+        raise DataFormatError(path.name, lineno, f"{what} beyond the 64-bit integer range: {value!r}")
+    return x
+
+
 def _parse_float(value: str, path: Path, lineno: int, what: str) -> float:
     try:
         x = float(value)
@@ -187,7 +195,7 @@ def _load_units(root: Path):
     for lineno, row in rows:
         if len(row) != len(header):
             raise DataFormatError(path.name, lineno, f"expected {len(header)} columns, got {len(row)}")
-        uid = _parse_int(row[0], path, lineno, "unit_id")
+        uid = _parse_id(row[0], path, lineno, "unit_id")
         if row[1] not in ("0", "1"):
             raise DataFormatError(path.name, lineno, f"eligible must be 0 or 1, got {row[1]!r}")
         records.append((lineno, uid, row[1] == "1", row[2:]))
@@ -228,7 +236,7 @@ def _load_graph(root: Path, n_eligible: int, ineligible_ids: list[int]) -> Bipar
         if len(row) != 3:
             raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
         tid = _parse_int(row[0], path, lineno, "treatment_unit_id")
-        cid = _parse_int(row[1], path, lineno, "connected_unit_id")
+        cid = _parse_id(row[1], path, lineno, "connected_unit_id")
         weight = _parse_float(row[2], path, lineno, "weight")
         if tid not in known:
             raise DataFormatError(path.name, lineno, f"treatment unit {tid} not listed in units.csv")

@@ -46,7 +46,7 @@ def preset_runs():
     for name in PRESETS:
         (cfg,) = load_scenario_configs(name)
         start = time.perf_counter()
-        out[name] = {"scenario": run_scenario(cfg).scenarios[0], "runtime": time.perf_counter() - start}
+        out[name] = {"scenario": run_scenario(cfg, jobs=2).scenarios[0], "runtime": time.perf_counter() - start}
     return out
 
 

@@ -119,14 +119,30 @@ def append_to_line_2(data: bytes, extra: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def set_cell(data: bytes, line: int, col: int, value: bytes) -> bytes:
+    lines = data.split(b"\n")
+    cells = lines[line - 1].split(b",")
+    cells[col] = value
+    lines[line - 1] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+HUGE_ID = b"99999999999999999999"
+
+
 @pytest.mark.parametrize(
     "name, corrupt, where",
     [
         ("outcomes.csv", lambda data: append_to_line_2(data, b"9" * 131073), "outcomes.csv:2: field larger"),
         ("outcomes.csv", lambda data: append_to_line_2(data, b"\xe9"), "outcomes.csv:2: not UTF-8"),
         ("meta.json", lambda data: b"[1]", "meta.json: must be a JSON object"),
+        ("graph.csv", lambda data: set_cell(data, 3, 1, HUGE_ID),
+         "graph.csv:3: connected_unit_id beyond the 64-bit integer range: '99999999999999999999'\n"),
+        # line 32 is the first ineligible unit (ids 1..30 are eligible)
+        ("units.csv", lambda data: set_cell(data, 32, 0, HUGE_ID),
+         "units.csv:32: unit_id beyond the 64-bit integer range: '99999999999999999999'\n"),
     ],
-    ids=["oversized_cell", "non_utf8", "meta_not_object"],
+    ids=["oversized_cell", "non_utf8", "meta_not_object", "connected_id_huge", "ineligible_id_huge"],
 )
 def test_bad_dataset_file_exits_one_naming_it(tmp_path, scenario_file, capsys, name, corrupt, where):
     data_dir = tmp_path / "data"

@@ -3,16 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from interference_lab import core
 from interference_lab.core import (
+    MAX_RESAMPLE_TRIES,
     AllocationScenario,
     BipartiteGraph,
+    BootstrapConfig,
     EffectEstimate,
     ExperimentDataset,
     OutcomePanel,
     TreatmentPanel,
+    bootstrap_estimate,
     datasets_equal,
     validate_dataset,
 )
+from interference_lab.rng import substream
 
 from conftest import small_dataset, small_graph
 
@@ -198,3 +203,59 @@ def test_treated_fraction_includes_baseline_zero(dataset):
     frac = dataset.treatments.treated_fraction()
     assert frac[0] == 0.0
     assert frac.tolist() == [0.0, 0.0, 2 / 3, 2 / 3, 2 / 3]
+
+
+def test_bootstrap_gives_up_after_max_tries_naming_the_estimator():
+    tries = []
+    with pytest.raises(RuntimeError, match="^network_aware: no valid bootstrap resample in 100 draws$"):
+        bootstrap_estimate("network_aware", 0.0, BootstrapConfig(3, seed=5), "network-boot", 10,
+                           lambda idx, b: 0.0, valid=lambda idx: tries.append(idx) and False)
+    assert MAX_RESAMPLE_TRIES == 100
+    assert len(tries) == MAX_RESAMPLE_TRIES
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_bootstrap_redraws_stay_on_the_draws_own_stream(k):
+    seed, stream, n, B = 11, "basic-boot", 9, 3
+    rejections, accepted = [0], {}
+
+    def valid(idx):  # reject the first k draws of every replicate
+        rejections[0] += 1
+        return rejections[0] > k
+
+    def statistic(idx, b):
+        rejections[0] = 0
+        accepted[b] = idx
+        return float(idx.mean())
+
+    est = bootstrap_estimate("basic", 4.0, BootstrapConfig(B, seed=seed), stream, n, statistic, valid=valid)
+    assert est.n_bootstrap == B
+    for b in range(B):
+        rg = substream(seed, stream, b)
+        draws = [np.sort(rg.integers(0, n, size=n)) for _ in range(k + 1)]
+        np.testing.assert_array_equal(accepted[b], draws[k])
+
+
+def test_bootstrap_without_valid_takes_one_draw_per_replicate(monkeypatch):
+    class CountingGenerator:
+        def __init__(self, rg):
+            self.rg, self.calls = rg, 0
+
+        def integers(self, *args, **kwargs):
+            self.calls += 1
+            return self.rg.integers(*args, **kwargs)
+
+    streams = []
+
+    def counting_substream(*path):
+        streams.append(CountingGenerator(substream(*path)))
+        return streams[-1]
+
+    monkeypatch.setattr(core, "substream", counting_substream)
+    seen = {}
+    est = bootstrap_estimate("cmp", 0.5, BootstrapConfig(4, seed=2), "cmp-boot", 6,
+                             lambda idx, b: seen.setdefault(b, idx).sum() / 6.0)
+    assert [g.calls for g in streams] == [1, 1, 1, 1]
+    assert est.n_bootstrap == 4
+    for b in range(4):
+        np.testing.assert_array_equal(seen[b], np.sort(substream(2, "cmp-boot", b).integers(0, 6, size=6)))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -355,7 +356,8 @@ LOAD_CORPUS = {
     "graph_two_errors": ("graph.csv", chain(cell(6, 2, "-1"), cell(3, 0, "x")),
                          "graph.csv:3: non-integer treatment_unit_id: 'x'"),
     "connected_id_text": ("graph.csv", cell(3, 1, "c"), "graph.csv:3: non-integer connected_unit_id: 'c'"),
-    "connected_id_huge": ("graph.csv", cell(3, 1, "99999999999999999999"), "Python int too large"),
+    "connected_id_huge": ("graph.csv", cell(3, 1, "99999999999999999999"),
+                          "graph.csv:3: connected_unit_id beyond the 64-bit integer range: '99999999999999999999'"),
     "graph_short_row": ("graph.csv", put(5, "3,2"), "graph.csv:5: expected 3 columns, got 2"),
     "duplicate_edge": ("graph.csv", append("1,1,1.0"), "invalid dataset: graph.duplicate_edge"),
     "graph_header": ("graph.csv", put(1, "a,b,c"),
@@ -365,6 +367,8 @@ LOAD_CORPUS = {
     "units_blank_and_crlf": ("units.csv", chain(insert(3, ""), crlf), "ok"),
     "eligible_two": ("units.csv", cell(3, 1, "2"), "units.csv:3: eligible must be 0 or 1, got '2'"),
     "covariate_nan": ("units.csv", cell(4, 2, "nan"), "units.csv:4: non-finite x_1: 'nan'"),
+    "ineligible_id_huge": ("units.csv", cell(5, 0, "99999999999999999999"),
+                           "units.csv:5: unit_id beyond the 64-bit integer range: '99999999999999999999'"),
 }
 
 
@@ -413,4 +417,16 @@ def test_meta_must_be_a_json_object(tmp_path, meta):
     save_dataset(small_dataset(), tmp_path)
     (tmp_path / "meta.json").write_text(meta)
     with pytest.raises(DataFormatError, match="^meta.json: must be a JSON object, got "):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key, message", [("n_periods", "a positive integer"), ("pre_period_end", "an integer")])
+@pytest.mark.parametrize("value", [True, False])
+def test_meta_rejects_json_booleans(tmp_path, key, message, value):
+    save_dataset(small_dataset(), tmp_path)
+    path = tmp_path / "meta.json"
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(DataFormatError, match=f"^meta.json: {key} must be {message}, got {value}$"):
         load_dataset(tmp_path)

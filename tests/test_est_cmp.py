@@ -147,9 +147,6 @@ def test_identity_dynamics_recovered():
 def manual_model(coefficients, intercept, center=0.0, context=(0.0, 0.0)):
     return StateEvolutionModel(
         model=RidgeModel(np.asarray(coefficients, float), intercept, 0.0),
-        columns=("mean", "var", "p_next", "mean_x_p_next"),
-        moment_order=2,
-        lam=0.0,
         interaction_center=center,
         context_moments=np.asarray(context, float),
     )

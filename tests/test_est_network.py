@@ -148,12 +148,9 @@ def manual_outcome_model(g, coef, intercept, targets=None):
     return OutcomeModel(
         model=RidgeModel(np.asarray(coef, float), intercept, 0.0),
         learner=OLS,
-        lam=1e-8,
         design=design,
         targets=y,
-        n_covariates=0,
         weighted=False,
-        residual_scale=0.0,
     )
 
 
