@@ -21,7 +21,6 @@ from .dataio import DataFormatError, load_dataset, save_dataset
 from .est_basic import estimate_basic
 from .est_cmp import (
     CmpConfig,
-    CounterfactualTrajectory,
     StateEvolutionModel,
     StateFeatures,
     build_features,
@@ -66,7 +65,6 @@ __all__ = [
     "BipartiteGraph",
     "BootstrapConfig",
     "CmpConfig",
-    "CounterfactualTrajectory",
     "DataFormatError",
     "DegenerateDesignError",
     "DgpParams",

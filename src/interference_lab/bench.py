@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, METHODS
+from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, METHODS, check_count, check_flag, check_int
 from .est_basic import estimate_basic
 from .est_cmp import CmpConfig, estimate_tte_cmp
-from .est_network import estimate_network, extrapolation_warnings
+from .est_network import estimate_network
 from .regress import LearnerConfig
 from .rng import child_seed
 from .sim import DgpParams, GraphParams, RolloutParams, ground_truth_tte, simulate_experiment
@@ -33,6 +33,9 @@ class BasicSettings:
     learner: LearnerConfig = LearnerConfig()
     n_bootstrap: int = 500
 
+    def __post_init__(self):
+        BootstrapConfig(self.n_bootstrap)
+
 
 @dataclass(frozen=True)
 class NetworkSettings:
@@ -40,6 +43,11 @@ class NetworkSettings:
     n_bootstrap: int = 500
     weighted_exposures: bool = False
     all_units_treated: bool = False
+
+    def __post_init__(self):
+        BootstrapConfig(self.n_bootstrap)
+        check_flag("weighted_exposures", self.weighted_exposures)
+        check_flag("all_units_treated", self.all_units_treated)
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,20 @@ class CmpSettings:
     moment_order: int = 2
     n_subpopulations: int = 10
     time_homogeneous: bool = True
+
+    def __post_init__(self):
+        BootstrapConfig(self.n_bootstrap)
+        self.config(seed=0)
+
+    def config(self, seed: int) -> CmpConfig:
+        """The estimator config these settings describe, with fit stream `seed`."""
+        return CmpConfig(
+            moment_order=self.moment_order,
+            n_subpopulations=self.n_subpopulations,
+            learner=self.learner,
+            time_homogeneous=self.time_homogeneous,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -70,11 +92,14 @@ class ScenarioConfig:
     cmp: CmpSettings = CmpSettings()
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        check_int("seed", self.seed)
+        check_count("replicates", self.replicates, 1)
+        check_count("T", self.T, 1)
+        check_count("truth_reps", self.truth_reps, 1)
+        if self.pre_period_end is not None:
+            check_count("pre_period_end", self.pre_period_end, 0)
+            if self.pre_period_end >= self.T:
+                raise ValueError(f"pre_period_end must be <= T-1 = {self.T - 1}, got {self.pre_period_end}")
         if self.expected_bias_sign is not None and self.expected_bias_sign not in BIAS_SIGNS:
             raise ValueError(f"expected_bias_sign must be one of {BIAS_SIGNS}")
 
@@ -82,13 +107,6 @@ class ScenarioConfig:
 # Scenario `estimators` blocks, their settings types, and the report's method names.
 ESTIMATOR_BLOCKS = {"basic": BasicSettings, "network": NetworkSettings, "cmp": CmpSettings}
 BLOCK_METHODS = {"basic": "basic", "network": "network_aware", "cmp": "cmp"}
-
-
-def check_seed(seed) -> int:
-    """Seeds must be integers: child_seed would hash a string, float or bool into an unrelated stream."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return seed
 
 
 def _require_object(obj, context: str) -> dict:
@@ -100,7 +118,7 @@ def _require_object(obj, context: str) -> dict:
 def _build(cls, obj: dict, context: str):
     try:
         return cls(**obj)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{context}: {exc}") from None
 
 
@@ -128,7 +146,7 @@ def scenario_from_dict(obj: dict, context: str = "scenario config") -> ScenarioC
         obj[key] = _build(cls, obj[key], f"{key} params")
     for block in ESTIMATOR_BLOCKS:
         obj[block] = settings_from_dict(block, estimators.get(block, {}))
-    return ScenarioConfig(**obj)
+    return _build(ScenarioConfig, obj, context)
 
 
 def _lists(items) -> dict:
@@ -164,7 +182,7 @@ def run_method(block: str, dataset: ExperimentDataset, settings, seed: int) -> t
         boot = BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "basic"))
         return estimate_basic(dataset, learner=settings.learner, bootstrap=boot), {}
     if block == "network":
-        est, om = estimate_network(
+        return estimate_network(
             dataset,
             learner=settings.learner,
             bootstrap=BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "network")),
@@ -172,17 +190,8 @@ def run_method(block: str, dataset: ExperimentDataset, settings, seed: int) -> t
             all_units_treated=settings.all_units_treated,
             seed=child_seed(seed, "network-fit"),
         )
-        warnings = extrapolation_warnings(om, dataset.graph, all_units_treated=settings.all_units_treated)
-        return est, {"network_extrapolation": bool(warnings)}
-    config = CmpConfig(
-        moment_order=settings.moment_order,
-        n_subpopulations=settings.n_subpopulations,
-        learner=settings.learner,
-        time_homogeneous=settings.time_homogeneous,
-        seed=child_seed(seed, "cmp"),
-    )
     boot = BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "cmp-boot"))
-    return estimate_tte_cmp(dataset, config=config, bootstrap=boot), {}
+    return estimate_tte_cmp(dataset, config=settings.config(child_seed(seed, "cmp")), bootstrap=boot), {}
 
 
 def _run_replicate(cfg: ScenarioConfig, r: int) -> dict:

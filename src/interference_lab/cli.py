@@ -29,7 +29,6 @@ from pathlib import Path
 from .bench import (
     BenchReport,
     ScenarioConfig,
-    check_seed,
     render_report,
     run_method,
     run_scenarios,
@@ -37,6 +36,7 @@ from .bench import (
     settings_from_dict,
     simulate_scenario_dataset,
 )
+from .core import check_int
 from .dataio import DataFormatError, load_dataset, save_dataset
 
 
@@ -96,7 +96,7 @@ def _cmd_estimate(args) -> int:
         config_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(config_obj, dict):
             raise ValueError(f"{args.config}: estimator config must be a JSON object")
-    seed = _env_seed(check_seed(config_obj.pop("seed", 0)))
+    seed = _env_seed(check_int("seed", config_obj.pop("seed", 0)))
     settings = settings_from_dict(args.method, config_obj)
     est, _ = run_method(args.method, load_dataset(args.data), settings, seed)
 

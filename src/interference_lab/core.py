@@ -13,7 +13,7 @@ read-only arrays) and safe to share across concurrent readers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,16 +24,26 @@ METHODS = ("basic", "network_aware", "cmp")
 MAX_RESAMPLE_TRIES = 100
 
 
-def _locate(ids: np.ndarray, universe: np.ndarray):
-    """Positions of `ids` inside `universe`, plus a found mask."""
-    if universe.size == 0:
-        return np.zeros(len(ids), dtype=int), np.zeros(len(ids), dtype=bool)
-    order = np.argsort(universe, kind="stable")
-    sorted_u = universe[order]
-    pos = np.searchsorted(sorted_u, ids)
-    pos = np.minimum(pos, universe.size - 1)
-    found = sorted_u[pos] == ids
-    return order[pos], found
+def check_int(name: str, value):
+    """`value` if it is an integer.
+
+    A bool or float would pass `>=` yet is no count, and `child_seed` would hash one into an unrelated stream.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise unless `value` is an integer of at least `minimum`."""
+    if check_int(name, value) < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_flag(name: str, value) -> None:
+    """Flags are booleans: a string such as "false" would otherwise read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +52,9 @@ class BipartiteGraph:
 
     Edges run from treatment units to connected units; `edge_weight` holds the
     nonnegative interaction weight used when aggregating edge-level outcomes
-    to the treatment side.
+    to the treatment side. Construction also locates each edge's endpoints:
+    `edge_treatment_pos`/`edge_connected_pos` index `treatment_ids`/`connected_ids`
+    wherever the matching `*_found` mask is set.
     """
 
     treatment_ids: np.ndarray
@@ -51,6 +63,10 @@ class BipartiteGraph:
     edge_treatment: np.ndarray
     edge_connected: np.ndarray
     edge_weight: np.ndarray
+    edge_treatment_pos: np.ndarray = field(init=False, repr=False)
+    edge_treatment_found: np.ndarray = field(init=False, repr=False)
+    edge_connected_pos: np.ndarray = field(init=False, repr=False)
+    edge_connected_found: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # Canonical order: units sorted by id, edges by (treatment, connected).
@@ -65,15 +81,21 @@ class BipartiteGraph:
         if not (et.shape == ec.shape == ew.shape):
             raise ValueError("edge arrays must have equal length")
         edge_order = np.lexsort((ec, et))
-        pairs = [
-            ("treatment_ids", tid[unit_order]),
-            ("eligible", elig[unit_order]),
-            ("connected_ids", np.sort(np.array(self.connected_ids, dtype=np.int64))),
-            ("edge_treatment", et[edge_order]),
-            ("edge_connected", ec[edge_order]),
-            ("edge_weight", ew[edge_order]),
-        ]
-        for name, arr in pairs:
+        arrays = {
+            "treatment_ids": tid[unit_order],
+            "eligible": elig[unit_order],
+            "connected_ids": np.sort(np.array(self.connected_ids, dtype=np.int64)),
+            "edge_treatment": et[edge_order],
+            "edge_connected": ec[edge_order],
+            "edge_weight": ew[edge_order],
+        }
+        for side in ("treatment", "connected"):
+            universe, ids = arrays[f"{side}_ids"], arrays[f"edge_{side}"]
+            pos = np.searchsorted(universe, ids)
+            found = pos < universe.size
+            found[found] = universe[pos[found]] == ids[found]
+            arrays[f"edge_{side}_pos"], arrays[f"edge_{side}_found"] = pos, found
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -93,11 +115,17 @@ class BipartiteGraph:
     def eligible_ids(self) -> np.ndarray:
         return self.treatment_ids[self.eligible]
 
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(treatment, connected) position of each edge's endpoints; raises if any id is unknown."""
+        if not (self.edge_treatment_found.all() and self.edge_connected_found.all()):
+            raise ValueError("graph has edges referencing unknown units")
+        return self.edge_treatment_pos, self.edge_connected_pos
+
     def degrees(self, weighted: bool = False) -> np.ndarray:
         """Edge count (or total edge weight) per treatment unit, in treatment_ids order."""
-        pos, found = _locate(self.edge_treatment, self.treatment_ids)
+        t_idx, _ = self.edge_positions()
         w = self.edge_weight if weighted else np.ones(self.n_edges)
-        return np.bincount(pos[found], weights=w[found], minlength=self.n_treatment_units)
+        return np.bincount(t_idx, weights=w, minlength=self.n_treatment_units)
 
     def zero_extend(self, a) -> np.ndarray:
         """Float rows (1-d or 2-d) over every treatment unit; eligible-only rows get zeros for the ineligible."""
@@ -271,8 +299,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ValueError("n_replicates must be >= 1")
+        check_count("n_replicates", self.n_replicates, 1)
 
 
 def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, stream: str, n: int,
@@ -307,11 +334,9 @@ def _graph_violations(g: BipartiteGraph) -> list[str]:
         uniq, counts = np.unique(pairs, axis=0, return_counts=True)
         for (tid, cid), cnt in zip(uniq[counts > 1], counts[counts > 1]):
             out.append(f"graph.duplicate_edge: ({tid}, {cid}) appears {cnt} times")
-    _, found_t = _locate(g.edge_treatment, g.treatment_ids)
-    for e in np.flatnonzero(~found_t):
+    for e in np.flatnonzero(~g.edge_treatment_found):
         out.append(f"graph.unknown_treatment_unit: edge {e} references id {g.edge_treatment[e]}")
-    _, found_c = _locate(g.edge_connected, g.connected_ids)
-    for e in np.flatnonzero(~found_c):
+    for e in np.flatnonzero(~g.edge_connected_found):
         out.append(f"graph.unknown_connected_unit: edge {e} references id {g.edge_connected[e]}")
     if not g.eligible.any():
         out.append("graph.no_eligible_units: at least one eligible treatment unit required")

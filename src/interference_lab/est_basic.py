@@ -49,7 +49,7 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
         return float(np.mean(predict(fit, design_1[idx]) - predict(fit, design_0[idx])))
 
     def refit(idx, b) -> float:
-        fit, _ = fit_learner(design[idx], delta[idx], learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
+        fit = fit_learner(design[idx], delta[idx], learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
         return contrast(fit, idx)
 
     point = contrast(model, slice(None))
@@ -76,5 +76,5 @@ def estimate_basic(
 
     z = treated.astype(float)[:, None]
     design = z if x is None else np.hstack([z, x])
-    model, _ = fit_learner(design, delta, learner, seed=child_seed(bootstrap.seed, "fit"))
+    model = fit_learner(design, delta, learner, seed=child_seed(bootstrap.seed, "fit"))
     return _contrast_estimate("basic", "basic-boot", model, design, delta, np.ones_like(z), learner, bootstrap)

@@ -28,6 +28,8 @@ from .core import (
     TreatmentPanel,
     UnitCovariates,
     bootstrap_estimate,
+    check_count,
+    check_flag,
 )
 from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, fit_learner, ridge_fit
 from .rng import child_seed, substream
@@ -45,8 +47,6 @@ class StateFeatures:
 
     table: np.ndarray
     targets: np.ndarray
-    columns: tuple[str, ...]
-    moment_order: int
     baseline_mean: float
     final_moments: np.ndarray
     transition_index: np.ndarray
@@ -59,11 +59,6 @@ class StateFeatures:
         idx = np.array(self.transition_index, dtype=int)
         idx.setflags(write=False)
         object.__setattr__(self, "transition_index", idx)
-
-
-def _moment_columns(order: int) -> tuple[str, ...]:
-    names = ["mean", "var"] + [f"m{k}" for k in range(3, order + 1)]
-    return tuple(names[: max(order, 1)])
 
 
 def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures:
@@ -87,12 +82,9 @@ def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures
     table = np.column_stack(
         [moment_rows[:-1], p[1:], means[:-1] * p[1:]]
     )
-    columns = _moment_columns(moment_order) + ("p_next", "mean_x_p_next")
     return StateFeatures(
         table=table,
         targets=means[1:],
-        columns=columns,
-        moment_order=moment_order,
         baseline_mean=float(means[0]),
         final_moments=moment_rows[-1],
         transition_index=np.arange(T),
@@ -100,19 +92,21 @@ def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures
 
 
 def stack_features(parts: list[StateFeatures]) -> StateFeatures:
-    """Pool transition rows across subpopulations (same moment order required)."""
+    """Pool transition rows across subpopulations (tables built with one moment order)."""
     first = parts[0]
-    if any(p.columns != first.columns for p in parts):
-        raise ValueError("feature tables have mismatched columns")
     return StateFeatures(
         table=np.vstack([p.table for p in parts]),
         targets=np.concatenate([p.targets for p in parts]),
-        columns=first.columns,
-        moment_order=first.moment_order,
         baseline_mean=first.baseline_mean,
         final_moments=first.final_moments,
         transition_index=np.concatenate([p.transition_index for p in parts]),
     )
+
+
+def check_ridge_learner(learner: LearnerConfig) -> None:
+    """The state evolution is linear: `counterfactual_evolution` recurses its ridge coefficients."""
+    if learner.kind != "ridge":
+        raise ValueError("state evolution uses the ridge learner")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +147,14 @@ def fit_state_evolution(
     still selected once on the pooled rows.
     """
     learner = learner or LearnerConfig()
-    if learner.kind != "ridge":
-        raise ValueError("state evolution uses the ridge learner")
+    check_ridge_learner(learner)
     table = features.table
     if len(table) < 2:
         raise ValueError("need at least 2 transition rows to fit the state evolution")
     center = features.baseline_mean
     design = table.copy()
     design[:, -1] = (table[:, 0] - center) * table[:, -2]
-    model, lam = fit_learner(design, features.targets, learner, seed=seed)
+    model = fit_learner(design, features.targets, learner, seed=seed)
 
     period_models = None
     if not time_homogeneous:
@@ -176,7 +169,7 @@ def fit_state_evolution(
                     f"rank-deficient single-row input for transition {t}; "
                     "pool subpopulation rows to fit per-period maps"
                 )
-            fits.append(ridge_fit(design[rows], features.targets[rows], lam))
+            fits.append(ridge_fit(design[rows], features.targets[rows], model.lam))
         period_models = tuple(fits)
 
     return StateEvolutionModel(
@@ -184,30 +177,14 @@ def fit_state_evolution(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CounterfactualTrajectory:
-    """Predicted mean-outcome path under a constant allocation, starting at the observed baseline."""
-
-    allocation: AllocationScenario
-    means: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.means, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "means", a)
-
-    @property
-    def final_mean(self) -> float:
-        return float(self.means[-1])
-
-
 def counterfactual_evolution(
     model: StateEvolutionModel,
     baseline_mean: float,
     allocation: AllocationScenario,
     T: int,
-) -> CounterfactualTrajectory:
-    """Recurse the fitted map with the treated fraction pinned at 1 or 0."""
+) -> np.ndarray:
+    """Read-only mean-outcome path for periods 0..T under a constant allocation, from the observed
+    baseline: the fitted map recursed with the treated fraction pinned at 1 or 0."""
     if model.period_models is not None and T > len(model.period_models):
         raise ValueError(
             f"per-period model covers {len(model.period_models)} transitions, cannot recurse to T={T}"
@@ -229,7 +206,9 @@ def counterfactual_evolution(
         means.append(a * means[-1] + b)
         if not math.isfinite(means[-1]):
             raise RuntimeError(f"counterfactual recursion diverged at period {t}")
-    return CounterfactualTrajectory(allocation=allocation, means=np.array(means))
+    path = np.array(means)
+    path.setflags(write=False)
+    return path
 
 
 def _adoption_stage(assignments: np.ndarray) -> np.ndarray:
@@ -293,10 +272,10 @@ class CmpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.moment_order < 1:
-            raise ValueError("moment_order must be >= 1")
-        if self.n_subpopulations < 2:
-            raise ValueError("n_subpopulations must be >= 2")
+        check_count("moment_order", self.moment_order, 1)
+        check_count("n_subpopulations", self.n_subpopulations, 2)
+        check_flag("time_homogeneous", self.time_homogeneous)
+        check_ridge_learner(self.learner)
 
 
 def _training_features(d: ExperimentDataset, config: CmpConfig, partition_seed: int) -> StateFeatures:
@@ -322,9 +301,9 @@ def _cmp_point(d: ExperimentDataset, config: CmpConfig, partition_seed: int, fit
         features, config.learner, seed=fit_seed, time_homogeneous=config.time_homogeneous
     )
     T = d.n_periods
-    cfe_1 = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
-    cfe_0 = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_CONTROL, T)
-    return cfe_1.final_mean - cfe_0.final_mean
+    treated = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
+    control = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_CONTROL, T)
+    return float(treated[-1]) - float(control[-1])
 
 
 def estimate_tte_cmp(

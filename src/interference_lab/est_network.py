@@ -19,16 +19,6 @@ from .est_basic import _contrast_estimate, _has_variation, _pre_post_arrays
 from .regress import DegenerateDesignError, LearnerConfig, fit_learner
 
 
-def _edge_indices(g: BipartiteGraph):
-    from .core import _locate
-
-    t_idx, found_t = _locate(g.edge_treatment, g.treatment_ids)
-    c_idx, found_c = _locate(g.edge_connected, g.connected_ids)
-    if not (found_t.all() and found_c.all()):
-        raise ValueError("graph has edges referencing unknown units")
-    return t_idx, c_idx
-
-
 def direct_exposure(g: BipartiteGraph, w, weighted: bool = False) -> np.ndarray:
     """Own treatment times connected-unit count (or total edge weight), per eligible unit."""
     w_full = g.zero_extend(w)
@@ -39,7 +29,7 @@ def direct_exposure(g: BipartiteGraph, w, weighted: bool = False) -> np.ndarray:
 def indirect_exposure(g: BipartiteGraph, w, weighted: bool = False) -> np.ndarray:
     """Treated co-serving treatment units summed over each eligible unit's connected units."""
     w_full = g.zero_extend(w)
-    t_idx, c_idx = _edge_indices(g)
+    t_idx, c_idx = g.edge_positions()
     treated_per_connected = np.bincount(c_idx, weights=w_full[t_idx], minlength=g.n_connected_units)
     contrib = treated_per_connected[c_idx] - w_full[t_idx]
     if weighted:
@@ -73,13 +63,6 @@ class OutcomeModel:
     learner: LearnerConfig
     design: np.ndarray
     targets: np.ndarray
-    weighted: bool
-
-    @property
-    def exposure_ranges(self) -> np.ndarray:
-        """(2, 2) observed [min, max] per exposure dimension."""
-        e = self.design[:, :2]
-        return np.stack([e.min(axis=0), e.max(axis=0)], axis=1)
 
 
 def fit_psi(
@@ -88,7 +71,6 @@ def fit_psi(
     outcomes: np.ndarray,
     learner: LearnerConfig | None = None,
     seed: int = 0,
-    weighted: bool = False,
 ) -> OutcomeModel:
     """Fit unit outcome (pre/post delta) on the exposure pair plus covariates."""
     learner = learner or LearnerConfig()
@@ -99,37 +81,29 @@ def fit_psi(
     if not _has_variation(exposures):
         raise DegenerateDesignError("all exposure points identical; outcome model unidentified")
     design = exposures if covariates is None else np.hstack([exposures, covariates])
-    model, _ = fit_learner(design, outcomes, learner, seed=seed)
-    return OutcomeModel(model=model, learner=learner, design=design, targets=outcomes, weighted=weighted)
+    model = fit_learner(design, outcomes, learner, seed=seed)
+    return OutcomeModel(model=model, learner=learner, design=design, targets=outcomes)
 
 
-def estimate_ptte(
-    om: OutcomeModel,
-    g: BipartiteGraph,
-    bootstrap: BootstrapConfig | None = None,
-    all_units_treated: bool = False,
-) -> EffectEstimate:
-    """Average the fitted model's all-treated vs zero-exposure contrast over eligible units.
+def estimate_ptte(om: OutcomeModel, cf: np.ndarray, bootstrap: BootstrapConfig | None = None) -> EffectEstimate:
+    """Average the fitted model's all-treated (`cf` exposures) vs zero-exposure contrast over eligible units.
 
     The CI refits the outcome model per unit-level resample and re-evaluates
     the contrast over the resampled units.
     """
     bootstrap = bootstrap or BootstrapConfig()
-    cf = counterfactual_exposures(g, all_units_treated=all_units_treated, weighted=om.weighted)
     if len(cf) != len(om.design):
         raise ValueError("graph eligible units do not match the fitted model's training rows")
     return _contrast_estimate("network_aware", "network-boot", om.model, om.design, om.targets, cf, om.learner,
                               bootstrap)
 
 
-def extrapolation_warnings(om: OutcomeModel, g: BipartiteGraph, all_units_treated: bool = False) -> list[str]:
-    """Flag counterfactual exposure points outside the observed training range."""
-    cf = counterfactual_exposures(g, all_units_treated=all_units_treated, weighted=om.weighted)
-    ranges = om.exposure_ranges
-    names = ("direct", "indirect")
+def extrapolation_warnings(om: OutcomeModel, cf: np.ndarray) -> list[str]:
+    """Flag all-treated (`cf`) and zero exposure points outside the observed training range."""
+    observed = om.design[:, :2]
     out = []
-    for dim, name in enumerate(names):
-        lo, hi = ranges[dim]
+    for dim, name in enumerate(("direct", "indirect")):
+        lo, hi = observed[:, dim].min(), observed[:, dim].max()
         above = int(np.sum(cf[:, dim] > hi))
         if above:
             out.append(
@@ -147,8 +121,9 @@ def estimate_network(
     weighted_exposures: bool = False,
     all_units_treated: bool = False,
     seed: int = 0,
-) -> tuple[EffectEstimate, OutcomeModel]:
-    """End-to-end network-aware estimate from a dataset with a graph, plus the fitted model.
+) -> tuple[EffectEstimate, dict]:
+    """End-to-end network-aware estimate from a dataset with a graph, plus
+    `{"network_extrapolation": bool}`, set when `extrapolation_warnings` has any.
 
     `seed` drives the outcome model's lambda cross-validation.
     """
@@ -156,5 +131,7 @@ def estimate_network(
         raise ValueError("the network-aware method requires the dataset's bipartite graph")
     delta, treated, x = _pre_post_arrays(d)
     exposures = exposure_matrix(d.graph, treated.astype(float), weighted=weighted_exposures)
-    om = fit_psi(exposures, x, delta, learner, seed=seed, weighted=weighted_exposures)
-    return estimate_ptte(om, d.graph, bootstrap=bootstrap, all_units_treated=all_units_treated), om
+    cf = counterfactual_exposures(d.graph, all_units_treated=all_units_treated, weighted=weighted_exposures)
+    om = fit_psi(exposures, x, delta, learner, seed=seed)
+    est = estimate_ptte(om, cf, bootstrap=bootstrap)
+    return est, {"network_extrapolation": bool(extrapolation_warnings(om, cf))}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_count, check_flag
 from .rng import substream
 
 # Log-spaced default grid; bench preset files restate it so it stays visible.
@@ -250,6 +251,13 @@ class LearnerConfig:
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be nonempty")
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        if min(self.lambda_grid) < 0:
+            raise ValueError(f"lambda_grid values must be >= 0, got {min(self.lambda_grid)}")
+        # cross_validate needs two folds whenever the grid has a choice to make
+        check_count("cv_folds", self.cv_folds, 2 if len(self.lambda_grid) > 1 else 1)
+        if self.kernel not in ("linear", "rbf"):
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        check_flag("center", self.center)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LearnerConfig":
@@ -259,24 +267,14 @@ class LearnerConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown learner config keys: {sorted(unknown)}")
-        return cls(**{k: (tuple(v) if k == "lambda_grid" else v) for k, v in obj.items()})
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lambda_grid": list(self.lambda_grid),
-            "cv_folds": self.cv_folds,
-            "kernel": self.kernel,
-            "bandwidth": self.bandwidth,
-            "center": self.center,
-        }
+        try:
+            return cls(**{k: (tuple(v) if k == "lambda_grid" else v) for k, v in obj.items()})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"learner config: {exc}") from None
 
 
 def fit_learner(X, y, config: LearnerConfig, seed: int = 0):
-    """Select lam on the config grid (CV if more than one value), then fit.
-
-    Returns (model, lam).
-    """
+    """Select lam on the config grid (CV if more than one value), then fit; the model records it as `lam`."""
     X = _as_matrix(X)
     if len(config.lambda_grid) == 1:
         lam = config.lambda_grid[0]
@@ -293,5 +291,5 @@ def fit_learner(X, y, config: LearnerConfig, seed: int = 0):
             center=config.center,
         )
     if config.kind == "ridge":
-        return ridge_fit(X, y, lam, center=config.center), lam
-    return kernel_ridge_fit(X, y, kernel=config.kernel, lam=lam, bandwidth=config.bandwidth), lam
+        return ridge_fit(X, y, lam, center=config.center)
+    return kernel_ridge_fit(X, y, kernel=config.kernel, lam=lam, bandwidth=config.bandwidth)

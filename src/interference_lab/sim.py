@@ -34,7 +34,6 @@ from .core import (
     ExperimentDataset,
     OutcomePanel,
     TreatmentPanel,
-    _locate,
 )
 from .rng import child_seed, substream
 
@@ -164,8 +163,7 @@ def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: 
     baselines = rg.normal(p.baseline_mean, p.baseline_sd, size=g.n_connected_units)
     noise = rg.normal(0.0, p.sigma, size=(g.n_edges, T)) if p.sigma > 0 else None
 
-    t_idx, _ = _locate(g.edge_treatment, g.treatment_ids)
-    c_idx, _ = _locate(g.edge_connected, g.connected_ids)
+    t_idx, c_idx = g.edge_positions()
     neighbor_count = np.bincount(c_idx, minlength=g.n_connected_units).astype(float)
 
     eligible_pos = np.flatnonzero(g.eligible)

@@ -1,4 +1,7 @@
+import importlib
 import json
+import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -16,6 +19,7 @@ from interference_lab.bench import (
     scenario_to_dict,
 )
 from interference_lab.core import METHODS
+from interference_lab.est_cmp import estimate_tte_cmp
 from interference_lab.regress import LearnerConfig
 from interference_lab.sim import DgpParams, GraphParams, RolloutParams
 
@@ -175,3 +179,33 @@ def test_presets_parse_and_declare_expectations():
     (upward,) = load_scenario_configs("upward_bias")
     assert upward.expected_bias_sign == "positive"
     assert upward.dgp.gamma < 0
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def benchmark_runner(monkeypatch):
+    """The benchmark's runner module; it imports its `tracing` sibling from `benchmarks/`."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module("runner")
+
+
+def test_benchmark_traced_functions_resolve(monkeypatch):
+    runner = benchmark_runner(monkeypatch)
+    for module, names in runner.TRACED.items():
+        owner = importlib.import_module(f"interference_lab.{module}")
+        for name in names:
+            assert callable(getattr(owner, name, None)), f"benchmark traces missing {module}.{name}"
+
+
+def test_benchmark_cmp_calls_match_run_method(monkeypatch):
+    runner = benchmark_runner(monkeypatch)
+    cfg = tiny_scenario(replicates=1)
+    d = bench.simulate_scenario_dataset(cfg, 1)
+    obj = scenario_to_dict(cfg)
+    seed = 5
+    # the benchmark's own CmpConfig/BootstrapConfig on the cmp and cmp-boot streams
+    direct = estimate_tte_cmp(d, *runner._cmp_args(obj["estimators"]["cmp"], seed))
+    assert (direct, {}) == bench.run_method("cmp", d, cfg.cmp, seed)
+    probes = runner._probes(d, obj)
+    assert probes and all(math.isfinite(v) and v > 0 for v in probes.values())

@@ -215,6 +215,33 @@ def test_corrupt_scenario_config_exits_one(tmp_path, capsys):
     assert cli_main(["bench", "--config", str(bad), "--out", str(tmp_path / "r.json")]) == 1
 
 
+# One bad field per estimator block, merged into TINY_SCENARIO's block: (block, fields, error message).
+BAD_ESTIMATOR_BLOCKS = [
+    ("basic", {"n_bootstrap": 0}, "basic settings: n_replicates must be >= 1, got 0"),
+    ("basic", {"n_bootstrap": True}, "basic settings: n_replicates must be an integer, got True"),
+    ("network", {"n_bootstrap": 2.5}, "network settings: n_replicates must be an integer, got 2.5"),
+    ("cmp", {"moment_order": 0}, "cmp settings: moment_order must be >= 1, got 0"),
+    ("cmp", {"n_subpopulations": 1}, "cmp settings: n_subpopulations must be >= 2, got 1"),
+    ("cmp", {"learner": {"kind": "ridge", "lambda_grid": [1e-8, 1e-6], "cv_folds": 1}},
+     "learner config: cv_folds must be >= 2, got 1"),
+    ("basic", {"learner": {"kind": "ridge", "lambda_grid": [-1.0]}},
+     "learner config: lambda_grid values must be >= 0, got -1.0"),
+    ("network", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1], "kernel": "poly"}},
+     "learner config: unknown kernel 'poly'"),
+    ("basic", {"learner": {"kind": "ridge", "lambda_grid": [1e-8], "center": 1}},
+     "learner config: center must be true or false, got 1"),
+    ("cmp", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1]}},
+     "cmp settings: state evolution uses the ridge learner"),
+    ("network", {"weighted_exposures": "no"}, "network settings: weighted_exposures must be true or false, got 'no'"),
+    ("cmp", {"time_homogeneous": "false"}, "cmp settings: time_homogeneous must be true or false, got 'false'"),
+]
+
+
+def with_block(block, fields):
+    estimators = dict(TINY_SCENARIO["estimators"], **{block: dict(TINY_SCENARIO["estimators"][block], **fields)})
+    return dict(TINY_SCENARIO, estimators=estimators)
+
+
 @pytest.mark.parametrize("config, message", [
     ([TINY_SCENARIO], "scenario config must be a JSON object, got list"),
     ({"scenarios": [TINY_SCENARIO, 3]}, "scenarios[1] must be a JSON object, got int"),
@@ -223,13 +250,31 @@ def test_corrupt_scenario_config_exits_one(tmp_path, capsys):
     (dict(TINY_SCENARIO, estimators={"cmp": [1]}), "cmp settings must be a JSON object, got list"),
     (dict(TINY_SCENARIO, estimators={"basic": {"learner": "ridge"}}),
      "learner config must be a JSON object, got str"),
-])
+    (dict(TINY_SCENARIO, T=6.0), "scenario config: T must be an integer, got 6.0"),
+    (dict(TINY_SCENARIO, replicates=True), "scenario config: replicates must be an integer, got True"),
+    (dict(TINY_SCENARIO, truth_reps=0), "scenario config: truth_reps must be >= 1, got 0"),
+    (dict(TINY_SCENARIO, pre_period_end=9), "scenario config: pre_period_end must be <= T-1 = 5, got 9"),
+    (dict(TINY_SCENARIO, pre_period_end=-1), "scenario config: pre_period_end must be >= 0, got -1"),
+] + [(with_block(block, fields), message) for block, fields, message in BAD_ESTIMATOR_BLOCKS])
 @pytest.mark.parametrize("command", ["bench", "simulate"])
 def test_malformed_scenario_config_exits_one(tmp_path, capsys, command, config, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     assert cli_main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block, fields, message", BAD_ESTIMATOR_BLOCKS)
+def test_malformed_estimator_config_exits_one(tmp_path, capsys, block, fields, message):
+    est_cfg = tmp_path / "est.json"
+    est_cfg.write_text(json.dumps(dict(TINY_SCENARIO["estimators"][block], seed=1, **fields)))
+    out = tmp_path / "o.json"
+    argv = ["estimate", "--data", str(tmp_path / "data"), "--method", block, "--config", str(est_cfg),
+            "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_preset_name_exits_one(tmp_path, capsys):

@@ -107,6 +107,24 @@ def test_graph_edge_with_unknown_connected_unit(dataset):
     assert any("unknown_connected_unit" in v for v in violations)
 
 
+def test_graph_edges_with_unknown_treatment_unit_each_reported(dataset):
+    g = dataset.graph
+    bad = BipartiteGraph(
+        treatment_ids=g.treatment_ids,
+        eligible=g.eligible,
+        connected_ids=g.connected_ids,
+        edge_treatment=np.append(g.edge_treatment, [98, 99]),
+        edge_connected=np.append(g.edge_connected, [1, 2]),
+        edge_weight=np.append(g.edge_weight, [1.0, 1.0]),
+    )
+    violations = validate_dataset(dataclasses.replace(dataset, graph=bad))
+    unknown = [v for v in violations if v.startswith("graph.unknown_treatment_unit")]
+    assert unknown == [
+        f"graph.unknown_treatment_unit: edge {g.n_edges} references id 98",
+        f"graph.unknown_treatment_unit: edge {g.n_edges + 1} references id 99",
+    ]
+
+
 def test_duplicate_edge_flagged(dataset):
     g = dataset.graph
     bad = BipartiteGraph(

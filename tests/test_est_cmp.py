@@ -38,13 +38,12 @@ def panel_dataset(outcomes, assignments, design="free", pre_period_end=0):
     )
 
 
-def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0), moment_order=2, transitions=None):
+def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0), transitions=None):
+    """Order-2 rows: (mean, var, p_next, mean_x_p_next)."""
     table = np.asarray(table, float)
     return StateFeatures(
         table=table,
         targets=np.asarray(targets, float),
-        columns=("mean", "var", "p_next", "mean_x_p_next"),
-        moment_order=moment_order,
         baseline_mean=baseline_mean,
         final_moments=np.asarray(final_moments, float),
         transition_index=np.arange(len(table)) if transitions is None else np.asarray(transitions, int),
@@ -54,7 +53,7 @@ def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0), mome
 def test_build_features_constant_untreated_panel():
     d = panel_dataset(np.full((4, 4), 2.0), np.zeros((4, 3)))
     f = build_features(d)
-    assert f.columns == ("mean", "var", "p_next", "mean_x_p_next")
+    assert f.table.shape[1] == 4  # mean, var, p_next, mean_x_p_next
     np.testing.assert_allclose(f.table[:, 0], 2.0)
     np.testing.assert_allclose(f.table[:, 1], 0.0)
     np.testing.assert_allclose(f.table[:, 2], 0.0)
@@ -97,8 +96,7 @@ def test_build_features_requires_two_transitions():
 def test_moment_order_three_adds_column():
     d = panel_dataset(np.random.default_rng(0).normal(size=(6, 4)), np.zeros((6, 3)))
     f = build_features(d, moment_order=3)
-    assert f.columns == ("mean", "var", "m3", "p_next", "mean_x_p_next")
-    assert f.table.shape[1] == 5
+    assert f.table.shape[1] == 5  # mean, var, m3, p_next, mean_x_p_next
 
 
 def test_fit_recovers_known_linear_map():
@@ -168,7 +166,7 @@ def test_per_period_fit_recovers_time_varying_maps():
     assert model.period_models[0].coefficients[2] == pytest.approx(1.0, abs=1e-3)
     assert model.period_models[1].coefficients[2] == pytest.approx(2.0, abs=1e-3)
     traj = counterfactual_evolution(model, 0.0, AllocationScenario.ALL_TREATED, T=2)
-    assert traj.final_mean == pytest.approx(3.0, abs=1e-3)
+    assert traj[-1] == pytest.approx(3.0, abs=1e-3)
     with pytest.raises(ValueError, match="cannot recurse"):
         counterfactual_evolution(model, 0.0, AllocationScenario.ALL_TREATED, T=3)
 
@@ -199,17 +197,17 @@ def test_identity_model_is_fixed_point():
     model = manual_model([1.0, 0.0, 0.0, 0.0], 0.0)
     for allocation in AllocationScenario:
         traj = counterfactual_evolution(model, 3.7, allocation, T=9)
-        np.testing.assert_allclose(traj.means, 3.7)
+        np.testing.assert_allclose(traj, 3.7)
 
 
 def test_additive_treatment_model_accumulates():
     # f(m, p) = m + 0.5 p from m0=0: all-treated reaches 2.0 at T=4
     model = manual_model([1.0, 0.0, 0.5, 0.0], 0.0)
     traj = counterfactual_evolution(model, 0.0, AllocationScenario.ALL_TREATED, T=4)
-    assert traj.means.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert traj.final_mean == pytest.approx(2.0)
+    assert traj.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert not traj.flags.writeable
     zero = counterfactual_evolution(model, 0.0, AllocationScenario.ALL_CONTROL, T=4)
-    np.testing.assert_allclose(zero.means, 0.0)
+    np.testing.assert_allclose(zero, 0.0)
 
 
 def test_divergent_recursion_reports_period():
@@ -499,4 +497,4 @@ def test_counterfactual_evolution_matches_predict_loop(time_homogeneous, order):
     assert (model.period_models is None) == time_homogeneous
     for allocation, p in ((AllocationScenario.ALL_TREATED, 1.0), (AllocationScenario.ALL_CONTROL, 0.0)):
         traj = counterfactual_evolution(model, full.baseline_mean, allocation, d.n_periods)
-        np.testing.assert_allclose(traj.means, loop_evolution(model, full.baseline_mean, p, d.n_periods), rtol=1e-12)
+        np.testing.assert_allclose(traj, loop_evolution(model, full.baseline_mean, p, d.n_periods), rtol=1e-12)

@@ -150,14 +150,13 @@ def manual_outcome_model(g, coef, intercept, targets=None):
         learner=OLS,
         design=design,
         targets=y,
-        weighted=False,
     )
 
 
 def test_constant_model_gives_zero_ptte():
     g = line_graph([1, 2, 3])
     om = manual_outcome_model(g, [0.0, 0.0], 4.0)
-    est = estimate_ptte(om, g, bootstrap=BootstrapConfig(20, seed=1))
+    est = estimate_ptte(om, counterfactual_exposures(g), bootstrap=BootstrapConfig(20, seed=1))
     assert est.point == pytest.approx(0.0, abs=1e-10)
     assert not est.significant_5pct
 
@@ -165,7 +164,7 @@ def test_constant_model_gives_zero_ptte():
 def test_pure_direct_exposure_model_averages_degrees():
     g = line_graph([1, 2, 3])
     om = manual_outcome_model(g, [1.0, 0.0], 0.0)
-    est = estimate_ptte(om, g, bootstrap=BootstrapConfig(10, seed=1))
+    est = estimate_ptte(om, counterfactual_exposures(g), bootstrap=BootstrapConfig(10, seed=1))
     assert est.point == pytest.approx(2.0, abs=1e-9)
 
 
@@ -208,7 +207,7 @@ def test_extrapolation_warnings_flag_out_of_range_points():
     g = line_graph([1, 2, 3])
     om = manual_outcome_model(g, [1.0, 0.0], 0.0)
     # only unit 1 treated during training: all-treated direct exposures 2 and 3 exceed max 1
-    warnings = extrapolation_warnings(om, g)
+    warnings = extrapolation_warnings(om, counterfactual_exposures(g))
     assert any("direct" in w for w in warnings)
 
 
@@ -219,6 +218,7 @@ def test_estimate_ptte_deterministic():
     design = exposure_matrix(g, treated)
     y = design @ np.array([0.8, 0.1]) + rng.normal(0, 0.05, 5)
     om = fit_psi(design, None, y, OLS)
-    a = estimate_ptte(om, g, bootstrap=BootstrapConfig(30, seed=5))
-    b = estimate_ptte(om, g, bootstrap=BootstrapConfig(30, seed=5))
+    cf = counterfactual_exposures(g)
+    a = estimate_ptte(om, cf, bootstrap=BootstrapConfig(30, seed=5))
+    b = estimate_ptte(om, cf, bootstrap=BootstrapConfig(30, seed=5))
     assert a == b

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,14 +174,14 @@ def test_fit_learner_kernel_ridge():
     X = rng.normal(size=(25, 2))
     y = np.sin(X[:, 0]) + 0.01 * rng.normal(size=25)
     cfg = LearnerConfig(kind="kernel_ridge", lambda_grid=(1e-4, 1e-2, 1.0), kernel="rbf")
-    model, lam = fit_learner(X, y, cfg, seed=0)
-    assert lam in cfg.lambda_grid
+    model = fit_learner(X, y, cfg, seed=0)
+    assert model.lam in cfg.lambda_grid
     assert np.mean((predict(model, X) - y) ** 2) < 0.05
 
 
 def test_learner_config_round_trip_and_validation():
     cfg = LearnerConfig(kind="ridge", lambda_grid=(1e-8,), cv_folds=3)
-    assert LearnerConfig.from_dict(cfg.to_dict()) == cfg
+    assert LearnerConfig.from_dict(dataclasses.asdict(cfg)) == cfg
     with pytest.raises(ValueError, match="unknown learner config"):
         LearnerConfig.from_dict({"kind": "ridge", "bogus": 1})
     with pytest.raises(ValueError):

@@ -179,6 +179,26 @@ def test_ineligible_rows_must_stay_control():
         simulate_outcomes(g, TreatmentPanel(a, design_tag="fixed"), p, seed=0)
 
 
+def test_unknown_edge_endpoint_raises_instead_of_simulating():
+    # Treatment id 99 is no unit: clamped onto the last unit, its edge would add 1.0 to unit 2's outcome.
+    g = BipartiteGraph(
+        treatment_ids=[1, 2],
+        eligible=[True, True],
+        connected_ids=[1],
+        edge_treatment=[1, 2, 99],
+        edge_connected=[1, 1, 1],
+        edge_weight=[1.0, 1.0, 1.0],
+    )
+    p = DgpParams(beta=1.0, sigma=0.0, baseline_sd=0.0)
+    w = TreatmentPanel(np.array([[0], [1]], dtype=np.int8), design_tag="fixed")
+    with pytest.raises(ValueError, match="graph has edges referencing unknown units"):
+        simulate_outcomes(g, w, p, seed=0)
+    with pytest.raises(ValueError, match="graph has edges referencing unknown units"):
+        ground_truth_tte(g, p, T=1, seed=0, n_reps=1)
+    with pytest.raises(ValueError, match="graph has edges referencing unknown units"):
+        g.degrees()
+
+
 def test_ground_truth_zero_when_no_effects():
     g = line_graph([1, 2, 3])
     p = DgpParams(beta=0.0, gamma=0.0, rho=0.0, sigma=0.0, baseline_mean=1.0, baseline_sd=1.0)
