@@ -96,6 +96,9 @@ class ScenarioConfig:
         check_count("replicates", self.replicates, 1)
         check_count("T", self.T, 1)
         check_count("truth_reps", self.truth_reps, 1)
+        if self.rollout.stage_boundaries[-1] > self.T:
+            raise ValueError(f"rollout stage boundaries must lie within 1..T = {self.T}, "
+                             f"got {self.rollout.stage_boundaries[-1]}")
         if self.pre_period_end is not None:
             check_count("pre_period_end", self.pre_period_end, 0)
             if self.pre_period_end >= self.T:

@@ -22,6 +22,9 @@ from .rng import substream
 DESIGN_TAGS = ("staggered", "fixed", "free")
 METHODS = ("basic", "network_aware", "cmp")
 MAX_RESAMPLE_TRIES = 100
+# Bytes of one chunk's (draws, units) int64 count matrix in `bootstrap_estimate`: 16 draws of a thousand units,
+# few enough that a statistic's per-chunk arrays (cmp's deal holds several per copy) stay near a megabyte.
+CHUNK_BYTES = 1 << 17
 
 
 def check_int(name: str, value):
@@ -306,20 +309,39 @@ def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, st
                        statistic, valid=None) -> EffectEstimate:
     """Percentile interval over `bootstrap.n_replicates` unit resamples of `n` units.
 
-    Draw b is a sorted multinomial resample of the unit indices from `substream(bootstrap.seed,
-    stream, b)`, redrawn on that generator until `valid(idx)` holds (at most MAX_RESAMPLE_TRIES
-    times); `statistic(idx, b)` scores it.
+    Draw b is a multinomial resample of the unit indices from `substream(bootstrap.seed, stream, b)`,
+    redrawn on that generator until `valid(counts)` holds (at most MAX_RESAMPLE_TRIES times). Its count row
+    says how often each unit was drawn; `np.repeat(np.arange(n), counts)` is the sorted resample.
+    `statistic(counts, draws)` scores a chunk of count rows, with draw indices `draws`, one value per row.
+    A failure raises the error of the lowest-index failing draw, whether its validity rule never held or
+    the statistic raised for it.
     """
     boot = np.empty(bootstrap.n_replicates)
-    for b in range(bootstrap.n_replicates):
-        rg = substream(bootstrap.seed, stream, b)
-        for _ in range(MAX_RESAMPLE_TRIES):
-            idx = np.sort(rg.integers(0, n, size=n))
-            if valid is None or valid(idx):
+    rows = max(1, CHUNK_BYTES // (8 * n))
+    for start in range(0, bootstrap.n_replicates, rows):
+        draws = range(start, min(start + rows, bootstrap.n_replicates))
+        counts = np.empty((len(draws), n), dtype=np.int64)
+        invalid = None
+        for i, b in enumerate(draws):
+            rg = substream(bootstrap.seed, stream, b)
+            for _ in range(MAX_RESAMPLE_TRIES):
+                counts[i] = np.bincount(rg.integers(0, n, size=n), minlength=n)
+                if valid is None or valid(counts[i]):
+                    break
+            else:
+                invalid = RuntimeError(f"{method}: no valid bootstrap resample in {MAX_RESAMPLE_TRIES} draws")
+                draws, counts = draws[:i], counts[:i]
                 break
-        else:
-            raise RuntimeError(f"{method}: no valid bootstrap resample in {MAX_RESAMPLE_TRIES} draws")
-        boot[b] = statistic(idx, b)
+        if len(draws):
+            try:
+                boot[draws.start:draws.stop] = statistic(counts, draws)
+            except Exception:
+                # The batch raised for some draw: score the draws one by one to raise the lowest one's error.
+                for i in range(len(draws)):
+                    statistic(counts[i:i + 1], draws[i:i + 1])
+                raise
+        if invalid is not None:
+            raise invalid
     return EffectEstimate.from_bootstrap(method, point, boot)
 
 

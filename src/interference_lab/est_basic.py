@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, bootstrap_estimate
-from .regress import LearnerConfig, fit_learner, predict
+from .regress import LearnerConfig, cv_lambdas, fit_learner, predict, weighted_ridge
 from .rng import child_seed
 
 
@@ -30,7 +30,7 @@ def _pre_post_arrays(d: ExperimentDataset):
 
 def _has_variation(rows: np.ndarray) -> bool:
     """True unless the rows are all identical (or there are none)."""
-    return len(rows) > 0 and bool(np.ptp(rows, axis=0).any())
+    return len(rows) > 0 and bool((rows != rows[0]).any())
 
 
 def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delta: np.ndarray,
@@ -38,23 +38,50 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
     """Mean predicted delta with the treatment columns at their all-treated values minus at zero.
 
     `design` is [treatment columns z, covariates] and `z_treated` holds z's all-treated values.
-    The point uses the fitted `model`; each bootstrap draw refits delta on the resampled
-    design rows, redrawing until z varies on the resample.
+    The point uses the fitted `model`; each bootstrap draw refits delta on the resampled design
+    rows, redrawing until z varies on the resample. A ridge model's contrast is linear in its
+    z coefficients, so every draw of a chunk is fit at once from count-weighted cross-products;
+    kernel ridge refits each draw on its resampled rows.
     """
-    k = z_treated.shape[1]
-    design_1 = np.hstack([z_treated, design[:, k:]])
-    design_0 = np.hstack([np.zeros_like(z_treated), design[:, k:]])
+    n, k = design.shape[0], z_treated.shape[1]
+    units = np.arange(n)
+    multi_grid = len(learner.lambda_grid) > 1
 
-    def contrast(fit, idx) -> float:
-        return float(np.mean(predict(fit, design_1[idx]) - predict(fit, design_0[idx])))
+    def valid(counts) -> bool:
+        return _has_variation(design[counts > 0, :k])
 
-    def refit(idx, b) -> float:
-        fit = fit_learner(design[idx], delta[idx], learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
-        return contrast(fit, idx)
+    if learner.kind == "kernel_ridge":
+        design_1 = np.hstack([z_treated, design[:, k:]])
+        design_0 = np.hstack([np.zeros_like(z_treated), design[:, k:]])
 
-    point = contrast(model, slice(None))
-    return bootstrap_estimate(method, point, bootstrap, stream, len(design), refit,
-                              valid=lambda idx: _has_variation(design[idx, :k]))
+        def contrast(fit, idx) -> float:
+            return float(np.mean(predict(fit, design_1[idx]) - predict(fit, design_0[idx])))
+
+        def statistic(counts, draws) -> np.ndarray:
+            out = []
+            for row, b in zip(counts, draws):
+                idx = np.repeat(units, row)
+                seed = child_seed(bootstrap.seed, "boot-fit", b) if multi_grid else 0
+                out.append(contrast(fit_learner(design[idx], delta[idx], learner, seed=seed), idx))
+            return np.asarray(out)
+
+        point = contrast(model, units)
+    else:
+        def contrast(counts, coef) -> np.ndarray:
+            z_mean = np.einsum("bi,ij->bj", counts, z_treated) / n
+            return np.einsum("bj,bj->b", z_mean, coef[:, :k])
+
+        def statistic(counts, draws) -> np.ndarray:
+            lams = learner.lambda_grid[0]
+            if multi_grid:
+                idx = np.repeat(np.tile(units, len(counts)), counts.ravel()).reshape(counts.shape)
+                seeds = [child_seed(bootstrap.seed, "boot-fit", b) for b in draws]
+                lams = cv_lambdas(design[idx], delta[idx], learner, seeds)[:, None]
+            coef, _ = weighted_ridge(design, delta, counts, lams, learner.center)
+            return contrast(counts, coef[:, 0])
+
+        point = float(contrast(np.ones((1, n)), model.coefficients[None])[0])
+    return bootstrap_estimate(method, point, bootstrap, stream, n, statistic, valid=valid)
 
 
 def estimate_basic(

@@ -10,16 +10,21 @@ fraction, and a centered mean-by-treatment interaction) to the mean outcome
 at t+1. Counterfactual trajectories recurse that map with the treated
 fraction pinned at 1 or 0; higher-moment features are held at the last
 observed values, so only the mean path is propagated.
+
+Every step works on a batch of count rows (how often each unit is drawn):
+the estimate is the batch of one all-ones row, and the bootstrap scores a
+chunk of resamples at once, with the same floating-point operations per
+resample as a fit of that resample alone.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    CHUNK_BYTES,
     AllocationScenario,
     BootstrapConfig,
     EffectEstimate,
@@ -31,7 +36,7 @@ from .core import (
     check_count,
     check_flag,
 )
-from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, fit_learner, ridge_fit
+from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, cv_lambdas, ridge_solve
 from .rng import child_seed, substream
 
 N_BASELINE_BINS = 4
@@ -61,45 +66,69 @@ class StateFeatures:
         object.__setattr__(self, "transition_index", idx)
 
 
-def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures:
-    """Summary-statistic rows for every transition; reads panels only, never the graph."""
+@dataclass(frozen=True, eq=False)
+class _Panel:
+    """A dataset's outcome rows (T+1, n) and 0/1 treatment rows (T, n) by period, with what the deal reads."""
+
+    outcomes: np.ndarray
+    treatments: np.ndarray
+    moment_order: int
+    baseline_order: np.ndarray
+    stage: np.ndarray
+
+    @property
+    def n_periods(self) -> int:
+        return len(self.treatments)
+
+
+def _panel(d: ExperimentDataset, moment_order: int) -> _Panel:
     if moment_order < 1:
         raise ValueError("moment_order must be >= 1")
     T = d.n_periods
     if T < 2:
         raise ValueError(f"need at least 2 transitions, got T={T}")
-    y = d.outcomes.outcomes
-    p = d.treatments.treated_fraction()
-
-    # one row per period; reducing along contiguous rows keeps numpy's pairwise summation per column
-    by_period = np.ascontiguousarray(y.T)
-    means = by_period.mean(axis=1)
-    moments = [means]
-    if moment_order >= 2:
-        centered = by_period - means[:, None]
-        moments.extend((centered**k).mean(axis=1) for k in range(2, moment_order + 1))
-    moment_rows = np.column_stack(moments)
-    table = np.column_stack(
-        [moment_rows[:-1], p[1:], means[:-1] * p[1:]]
-    )
-    return StateFeatures(
-        table=table,
-        targets=means[1:],
-        baseline_mean=float(means[0]),
-        final_moments=moment_rows[-1],
-        transition_index=np.arange(T),
+    return _Panel(
+        outcomes=np.ascontiguousarray(d.outcomes.outcomes.T),
+        treatments=np.ascontiguousarray(d.treatments.assignments.T),
+        moment_order=moment_order,
+        baseline_order=np.argsort(d.outcomes.outcomes[:, 0], kind="stable"),
+        stage=_adoption_stage(d.treatments.assignments),
     )
 
 
-def stack_features(parts: list[StateFeatures]) -> StateFeatures:
-    """Pool transition rows across subpopulations (tables built with one moment order)."""
-    first = parts[0]
+def _group_features(panel: _Panel, rows: np.ndarray):
+    """(table, targets, baseline mean, final moments) of each group of units `rows` (G, L): a resample, or
+    one subpopulation of it, with its units in row order.
+
+    Per period, the moments are the mean and the central moments 2..order of the group's outcomes, each
+    reduced along the group's own contiguous row, in blocks of groups of about CHUNK_BYTES.
+    """
+    G, L = rows.shape
+    moments = np.empty((G, panel.n_periods + 1, panel.moment_order))
+    p_next = np.empty((G, panel.n_periods))
+    block = max(1, CHUNK_BYTES // (8 * L * (panel.n_periods + 1)))
+    for lo in range(0, G, block):
+        group = rows[lo:lo + block]
+        by_period = panel.outcomes.take(group, axis=1)  # (T + 1, groups, L), rows contiguous
+        means = by_period.mean(axis=-1)
+        stats = [means]
+        if panel.moment_order >= 2:
+            centered = np.subtract(by_period, means[..., None], out=by_period)
+            stats.extend((centered**k).mean(axis=-1) for k in range(2, panel.moment_order + 1))
+        moments[lo:lo + block] = np.stack(stats, axis=-1).swapaxes(0, 1)
+        p_next[lo:lo + block] = panel.treatments.take(group, axis=1).sum(axis=-1).T / L
+    means = moments[..., 0]
+    table = np.concatenate([moments[:, :-1], p_next[..., None], (means[:, :-1] * p_next)[..., None]], axis=-1)
+    return table, means[:, 1:], means[:, 0], moments[:, -1]
+
+
+def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures:
+    """Summary-statistic rows for every transition; reads panels only, never the graph."""
+    panel = _panel(d, moment_order)
+    table, targets, baseline, final = _group_features(panel, np.arange(d.n_units)[None])
     return StateFeatures(
-        table=np.vstack([p.table for p in parts]),
-        targets=np.concatenate([p.targets for p in parts]),
-        baseline_mean=first.baseline_mean,
-        final_moments=first.final_moments,
-        transition_index=np.concatenate([p.transition_index for p in parts]),
+        table=table[0], targets=targets[0], baseline_mean=float(baseline[0]), final_moments=final[0],
+        transition_index=np.arange(panel.n_periods),
     )
 
 
@@ -128,6 +157,36 @@ class StateEvolutionModel:
         object.__setattr__(self, "context_moments", a)
 
 
+def _fit_maps(table, targets, center, transition_index, learner: LearnerConfig, seeds, time_homogeneous: bool):
+    """Each problem's state-evolution fit: pooled map (coefficients (m, 1, d), intercepts (m, 1)), per-period
+    maps ((m, T, d), (m, T)) or None, and lam (m,). Tables (m, r, d); `seeds()` gives the CV seeds."""
+    if table.shape[-2] < 2:
+        raise ValueError("need at least 2 transition rows to fit the state evolution")
+    design = table.copy()
+    design[..., -1] = (table[..., 0] - center[:, None]) * table[..., -2]
+    if len(learner.lambda_grid) > 1:
+        lam = cv_lambdas(design, targets, learner, seeds())
+    else:
+        lam = np.full(len(design), learner.lambda_grid[0])
+    coef, intercept = ridge_solve(design, targets, lam, learner.center)
+    pooled = coef[:, None], intercept[:, None]
+    if time_homogeneous:
+        return pooled, None, lam
+    indices = np.unique(transition_index)
+    if not np.array_equal(indices, np.arange(len(indices))):
+        raise ValueError("per-period fit needs contiguous transition indices starting at 0")
+    fits = []
+    for t in indices:
+        rows = np.flatnonzero(transition_index == t)
+        if len(rows) < 2:
+            raise DegenerateDesignError(
+                f"rank-deficient single-row input for transition {t}; "
+                "pool subpopulation rows to fit per-period maps"
+            )
+        fits.append(ridge_solve(design[:, rows], targets[:, rows], lam))
+    return pooled, tuple(np.stack(a, axis=1) for a in zip(*fits)), lam
+
+
 def fit_state_evolution(
     features: StateFeatures,
     learner: LearnerConfig | None = None,
@@ -148,33 +207,42 @@ def fit_state_evolution(
     """
     learner = learner or LearnerConfig()
     check_ridge_learner(learner)
-    table = features.table
-    if len(table) < 2:
-        raise ValueError("need at least 2 transition rows to fit the state evolution")
     center = features.baseline_mean
-    design = table.copy()
-    design[:, -1] = (table[:, 0] - center) * table[:, -2]
-    model = fit_learner(design, features.targets, learner, seed=seed)
-
-    period_models = None
-    if not time_homogeneous:
-        indices = np.unique(features.transition_index)
-        if not np.array_equal(indices, np.arange(len(indices))):
-            raise ValueError("per-period fit needs contiguous transition indices starting at 0")
-        fits = []
-        for t in indices:
-            rows = features.transition_index == t
-            if rows.sum() < 2:
-                raise DegenerateDesignError(
-                    f"rank-deficient single-row input for transition {t}; "
-                    "pool subpopulation rows to fit per-period maps"
-                )
-            fits.append(ridge_fit(design[rows], features.targets[rows], model.lam))
-        period_models = tuple(fits)
-
-    return StateEvolutionModel(
-        model=model, interaction_center=center, context_moments=features.final_moments, period_models=period_models
+    (coef, intercept), periods, lam = _fit_maps(
+        features.table[None], features.targets[None], np.array([center]), features.transition_index, learner,
+        lambda: [seed], time_homogeneous,
     )
+    lam = float(lam[0])
+    period_models = None
+    if periods is not None:
+        period_models = tuple(RidgeModel(c, float(i), lam) for c, i in zip(*(a[0] for a in periods)))
+    return StateEvolutionModel(
+        model=RidgeModel(coef[0, 0], float(intercept[0, 0]), lam), interaction_center=center,
+        context_moments=features.final_moments, period_models=period_models,
+    )
+
+
+def _evolve(coef, intercept, context, center, baseline, p: float, T: int, per_period: bool) -> np.ndarray:
+    """Mean-outcome paths (m, T + 1) from the baselines: each problem's maps (coefficients (m, P, d),
+    intercepts (m, P)) recursed with the treated fraction pinned at p."""
+    if per_period and T > coef.shape[1]:
+        raise ValueError(f"per-period model covers {coef.shape[1]} transitions, cannot recurse to T={T}")
+    # The feature row [mean, context[1:], p, (mean - center) * p] is affine in
+    # the mean, so each transition's map is the scalar step mean <- a * mean + b.
+    slope = coef[..., 0] + coef[..., -1] * p
+    offset = intercept + (coef[..., 1:-2] @ context[:, 1:, None])[..., 0] + p * (
+        coef[..., -2] - coef[..., -1] * center[:, None]
+    )
+    means = np.empty((len(coef), T + 1))
+    means[:, 0] = baseline
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged path is reported below
+        for t in range(T):
+            step = t if per_period else 0
+            means[:, t + 1] = slope[:, step] * means[:, t] + offset[:, step]
+    diverged = np.argwhere(~np.isfinite(means[:, 1:]))
+    if diverged.size:
+        raise RuntimeError(f"counterfactual recursion diverged at period {diverged[0, 1] + 1}")
+    return means
 
 
 def counterfactual_evolution(
@@ -185,28 +253,12 @@ def counterfactual_evolution(
 ) -> np.ndarray:
     """Read-only mean-outcome path for periods 0..T under a constant allocation, from the observed
     baseline: the fitted map recursed with the treated fraction pinned at 1 or 0."""
-    if model.period_models is not None and T > len(model.period_models):
-        raise ValueError(
-            f"per-period model covers {len(model.period_models)} transitions, cannot recurse to T={T}"
-        )
-    p = 1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0
     maps = model.period_models or (model.model,)
-    coef = np.stack([m.coefficients for m in maps])
-    intercept = np.array([m.intercept for m in maps])
-    # The feature row [mean, context[1:], p, (mean - center) * p] is affine in
-    # the mean, so each transition's map is the scalar step mean <- a * mean + b.
-    slope = coef[:, 0] + coef[:, -1] * p
-    offset = intercept + coef[:, 1:-2] @ model.context_moments[1:] + p * (
-        coef[:, -2] - coef[:, -1] * model.interaction_center
-    )
-    if model.period_models is None:  # one map shared by every transition
-        slope, offset = np.repeat(slope, T), np.repeat(offset, T)
-    means = [float(baseline_mean)]
-    for t, a, b in zip(range(1, T + 1), slope.tolist(), offset.tolist()):
-        means.append(a * means[-1] + b)
-        if not math.isfinite(means[-1]):
-            raise RuntimeError(f"counterfactual recursion diverged at period {t}")
-    path = np.array(means)
+    path = _evolve(
+        np.stack([m.coefficients for m in maps])[None], np.array([[m.intercept for m in maps]]),
+        model.context_moments[None], np.array([model.interaction_center]), baseline_mean,
+        1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0, T, model.period_models is not None,
+    )[0]
     path.setflags(write=False)
     return path
 
@@ -219,6 +271,33 @@ def _adoption_stage(assignments: np.ndarray) -> np.ndarray:
     return first
 
 
+def _check_partition(n: int, n_subpopulations: int) -> None:
+    if n_subpopulations < 2:
+        raise ValueError("need at least 2 subpopulations")
+    if n < 2 * n_subpopulations:
+        raise ValueError(f"need N >= {2 * n_subpopulations} units for {n_subpopulations} subpopulations")
+
+
+def _deal(counts: np.ndarray, baseline_order: np.ndarray, stage: np.ndarray, starts, n_subpopulations: int):
+    """The `network_bootstrap` partition of each count row's resample: the unit of every resampled copy,
+    in baseline-rank order (m, n), and its subpopulation (m, n).
+
+    Copies ordered by (baseline, unit) are the resample's stable baseline ranking, so a copy's rank is its
+    position and the deal order is a stable sort of that ranking by (quartile, stage).
+    """
+    m, n = counts.shape
+    units = np.repeat(np.tile(baseline_order, m), counts[:, baseline_order].ravel()).reshape(m, n)
+    quartile = np.arange(n) * N_BASELINE_BINS // n
+    order = np.argsort(quartile * (stage.max() + 1) + stage[units], axis=1, kind="stable")
+    labels = np.empty((m, n), dtype=np.intp)
+    np.put_along_axis(labels, order, (np.asarray(starts)[:, None] + np.arange(n)) % n_subpopulations, axis=1)
+    return units, labels
+
+
+def _deal_start(seed: int, n_subpopulations: int) -> int:
+    return int(substream(seed, "deal-start").integers(n_subpopulations))
+
+
 def network_bootstrap(d: ExperimentDataset, n_subpopulations: int, seed: int) -> list[ExperimentDataset]:
     """Partition units into representative subpopulations (disjoint, exhaustive).
 
@@ -229,23 +308,13 @@ def network_bootstrap(d: ExperimentDataset, n_subpopulations: int, seed: int) ->
     per stratum and overall, so each subpopulation preserves the population's
     outcome-level and treatment-timing marginals.
     """
-    if n_subpopulations < 2:
-        raise ValueError("need at least 2 subpopulations")
-    n = d.n_units
-    if n < 2 * n_subpopulations:
-        raise ValueError(f"need N >= {2 * n_subpopulations} units for {n_subpopulations} subpopulations")
-
-    baseline = d.outcomes.outcomes[:, 0]
-    ranks = np.empty(n, dtype=int)
-    ranks[np.argsort(baseline, kind="stable")] = np.arange(n)
-    quartile = (ranks * N_BASELINE_BINS) // n
-    stage = _adoption_stage(d.treatments.assignments)
-
-    # Deal the units in (quartile, stage, baseline, index) order round-robin from the seeded start.
-    start = int(substream(seed, "deal-start").integers(n_subpopulations))
-    order = np.lexsort((np.arange(n), baseline, stage, quartile))
-    label = np.empty(n, dtype=int)
-    label[order] = (start + np.arange(n)) % n_subpopulations
+    _check_partition(d.n_units, n_subpopulations)
+    units, labels = _deal(
+        np.ones((1, d.n_units), dtype=np.int64), np.argsort(d.outcomes.outcomes[:, 0], kind="stable"),
+        _adoption_stage(d.treatments.assignments), [_deal_start(seed, n_subpopulations)], n_subpopulations,
+    )
+    label = np.empty(d.n_units, dtype=np.intp)
+    label[units[0]] = labels[0]
     return [subset_dataset(d, np.flatnonzero(label == j)) for j in range(n_subpopulations)]
 
 
@@ -278,32 +347,52 @@ class CmpConfig:
         check_ridge_learner(self.learner)
 
 
-def _training_features(d: ExperimentDataset, config: CmpConfig, partition_seed: int) -> StateFeatures:
-    """Full-panel transition rows, augmented with subpopulation rows when T is small.
+def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds):
+    """Each count row's transition rows: (table (m, r, d), targets (m, r), baseline mean (m,), final moments
+    (m, order), transition index (r,)), from the full resample or, when T is small, its subpopulations.
 
     Pooling subpopulation trajectories multiplies training rows, which matters
     when the panel is short; once the panel alone identifies the map, the
     full-population rows are preferred because residual level differences
     across subpopulations would leak into the carryover coefficient.
     """
-    full = build_features(d, config.moment_order)
-    min_rows = 3 * (full.table.shape[1] + 1)
-    if len(full.table) >= min_rows and config.time_homogeneous:
-        return full
-    subpops = network_bootstrap(d, config.n_subpopulations, partition_seed)
-    pooled = stack_features([build_features(s, config.moment_order) for s in subpops])
-    return replace(pooled, baseline_mean=full.baseline_mean, final_moments=full.final_moments)
+    m, n = counts.shape
+    resample = np.repeat(np.tile(np.arange(n), m), counts.ravel()).reshape(m, n)  # each row sorted
+    table, targets, baseline, final = _group_features(panel, resample)
+    del resample
+    T, k = panel.n_periods, config.n_subpopulations
+    if T >= 3 * (table.shape[-1] + 1) and config.time_homogeneous:
+        return table, targets, baseline, final, np.arange(T)
+    _check_partition(n, k)
+    starts = [_deal_start(seed, k) for seed in seeds("partition")]
+    units, labels = _deal(counts, panel.baseline_order, panel.stage, starts, k)
+    # Each subpopulation's units in row order: sorted, as the resample's rows are.
+    members = np.sort(labels * n + units, axis=1) % n
+    sizes = np.bincount((np.arange(m)[:, None] * k + labels).ravel(), minlength=m * k).reshape(m, k)
+    first = np.cumsum(sizes, axis=1) - sizes
+    sub_table = np.empty((m, k) + table.shape[1:])
+    sub_targets = np.empty((m, k, T))
+    for size in np.unique(sizes):  # the deal gives at most two sizes
+        b, j = np.nonzero(sizes == size)
+        rows = members[b[:, None], first[b, j][:, None] + np.arange(size)]
+        sub_table[b, j], sub_targets[b, j] = _group_features(panel, rows)[:2]
+    return sub_table.reshape(m, k * T, -1), sub_targets.reshape(m, k * T), baseline, final, np.tile(np.arange(T), k)
 
 
-def _cmp_point(d: ExperimentDataset, config: CmpConfig, partition_seed: int, fit_seed: int) -> float:
-    features = _training_features(d, config, partition_seed)
-    model = fit_state_evolution(
-        features, config.learner, seed=fit_seed, time_homogeneous=config.time_homogeneous
+def _cmp_contrasts(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds) -> np.ndarray:
+    """Final-period all-treated minus all-control mean for each count row's resample.
+
+    `seeds(stream)` lists one seed per row on the named stream ("partition", "fit"); it is called only
+    where a seed is read: the partition when pooling, the fit when the lambda grid needs CV.
+    """
+    table, targets, baseline, final, transitions = _training_features(panel, counts, config, seeds)
+    pooled, periods, _ = _fit_maps(table, targets, baseline, transitions, config.learner, lambda: seeds("fit"),
+                                   config.time_homogeneous)
+    maps = pooled if periods is None else periods
+    treated, control = (
+        _evolve(*maps, final, baseline, baseline, p, panel.n_periods, periods is not None) for p in (1.0, 0.0)
     )
-    T = d.n_periods
-    treated = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
-    control = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_CONTROL, T)
-    return float(treated[-1]) - float(control[-1])
+    return treated[:, -1] - control[:, -1]
 
 
 def estimate_tte_cmp(
@@ -318,19 +407,12 @@ def estimate_tte_cmp(
     """
     config = config or CmpConfig()
     bootstrap = bootstrap or BootstrapConfig()
-    point = _cmp_point(
-        d,
-        config,
-        partition_seed=child_seed(config.seed, "partition"),
-        fit_seed=child_seed(config.seed, "fit"),
-    )
+    panel = _panel(d, config.moment_order)
+    ones = np.ones((1, d.n_units), dtype=np.int64)
+    point = float(_cmp_contrasts(panel, ones, config, lambda stream: [child_seed(config.seed, stream)])[0])
 
-    def resampled_point(rows, b) -> float:
-        return _cmp_point(
-            subset_dataset(d, rows),
-            config,
-            partition_seed=child_seed(bootstrap.seed, "partition", b),
-            fit_seed=child_seed(bootstrap.seed, "fit", b),
-        )
+    def statistic(counts, draws) -> np.ndarray:
+        return _cmp_contrasts(panel, counts, config, lambda stream: [child_seed(bootstrap.seed, stream, b)
+                                                                     for b in draws])
 
-    return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, resampled_point)
+    return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, statistic)

@@ -59,27 +59,86 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
+def ridge_solve(X, y, lam, center: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (..., d) and intercepts (...) of the ridge fits of stacked problems X (..., n, d), y (..., n),
+    with `lam` broadcast against (...).
+
+    Solves the centered normal equations with the same floating-point operations for every problem of a
+    stack as for that problem alone: cmp's per-period fits are near-singular, so a different summation
+    order moves their estimates far beyond rounding. (BLAS sums in another order for another memory layout,
+    hence the contiguous copies.)
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    d = X.shape[-1]
+    x_mean = X.mean(axis=-2) if center else np.zeros(X.shape[:-2] + (d,))
+    y_mean = y.mean(axis=-1) if center else np.zeros(y.shape[:-1])
+    Xc = X - x_mean[..., None, :]
+    Xc_t = np.swapaxes(Xc, -1, -2)
+    lam = np.asarray(lam, dtype=float)
+    A = Xc_t @ Xc + lam[..., None, None] * np.eye(d)
+    unpenalized = np.broadcast_to(lam == 0, A.shape[:-2])
+    if unpenalized.any() and (np.linalg.matrix_rank(A[unpenalized]) < d).any():
+        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
+    coef = np.linalg.solve(A, Xc_t @ (y - y_mean[..., None])[..., None])[..., 0]
+    return coef, y_mean - (x_mean[..., None, :] @ coef[..., :, None])[..., 0, 0]
+
+
 def ridge_fit(X, y, lam: float, center: bool = True) -> RidgeModel:
     """Penalized least squares on (internally centered) data."""
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    n, d = X.shape
-    if n < 1:
+    if len(X) < 1:
         raise ValueError("need at least one training row")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if center:
-        x_mean = X.mean(axis=0)
-        y_mean = float(y.mean())
-    else:
-        x_mean = np.zeros(d)
-        y_mean = 0.0
-    Xc = X - x_mean
-    A = Xc.T @ Xc + lam * np.eye(d)
-    if lam == 0 and np.linalg.matrix_rank(A) < d:
-        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
-    coef = np.linalg.solve(A, Xc.T @ (y - y_mean))
-    return RidgeModel(coefficients=coef, intercept=y_mean - float(x_mean @ coef), lam=float(lam))
+    coef, intercept = ridge_solve(X, y, lam, center)
+    return RidgeModel(coefficients=coef, intercept=float(intercept), lam=float(lam))
+
+
+def weighted_ridge(X, y, w, lams, center: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted ridge fits of y on X: coefficients (..., W, L, d) and intercepts (..., W, L).
+
+    X (..., n, d) and y (..., n) hold the rows; w (..., W, n) holds one nonnegative weight row per fit (a
+    bootstrap count row, a fold's training indicator); `lams` broadcasts against (..., W, L). Each fit is
+    `ridge_fit` on the rows repeated by their weights, centered on the weighted means when `center`.
+    The weighted cross-products are einsum sums over rows of data shifted by the row means, so a sum over
+    units never goes to a (multithreaded) BLAS call and no weighted copy of the rows is built.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    d = X.shape[-1]
+    sx = X.mean(axis=-2) if center else np.zeros(X.shape[:-2] + (d,))
+    sy = y.mean(axis=-1) if center else np.zeros(y.shape[:-1])
+    a = np.concatenate([np.ones(y.shape + (1,)), X - sx[..., None, :], (y - sy[..., None])[..., None]], axis=-1)
+    outer = (a[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (-1,))
+    M = np.einsum("...wi,...ij->...wj", w, outer)
+    M = M.reshape(M.shape[:-1] + (d + 2, d + 2))
+    A, r = M[..., 1:-1, 1:-1], M[..., 1:-1, -1]
+    if center:  # center on the weighted means of the shifted data
+        n = M[..., 0, 0]
+        mx, my = M[..., 0, 1:-1] / n[..., None], M[..., 0, -1] / n
+        A = A - n[..., None, None] * mx[..., :, None] * mx[..., None, :]
+        r = r - n[..., None] * mx * my[..., None]
+    lams = np.asarray(lams, dtype=float)
+    A = A[..., None, :, :] + lams[..., None, None] * np.eye(d)
+    unpenalized = np.broadcast_to(lams == 0, A.shape[:-2]).any(axis=-1)
+    if unpenalized.any():
+        # Rank is decided on data centered on each fit's own weighted mean, as `ridge_fit` does: a column
+        # constant on a resample then gives an exactly, not nearly, zero row.
+        Xc = X[..., None, :, :]
+        if center:
+            Xc = Xc - (np.einsum("...wi,...ij->...wj", w, X) / w.sum(axis=-1)[..., None])[..., None, :]
+        gram = np.einsum("...wi,...wij,...wik->...wjk", w, Xc, Xc)
+        if (np.linalg.matrix_rank(gram[unpenalized]) < d).any():
+            raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
+    r = np.broadcast_to(r[..., None, :], A.shape[:-1])
+    coef = np.linalg.solve(A, r[..., None])[..., 0]
+    if not center:
+        return coef, np.zeros(coef.shape[:-1])
+    shift = sx[..., None, :] + mx  # (..., W, d): the weighted means
+    intercept = (sy[..., None] + my)[..., None] - np.einsum("...wj,...wlj->...wl", shift, coef)
+    return coef, intercept
 
 
 def median_bandwidth(X) -> float:
@@ -196,42 +255,43 @@ def cross_validate(
     else:
         raise ValueError(f"unknown learner {learner!r}")
 
-    best_lam, best_err = grid[0], np.inf
-    for lam, err in zip(grid, errs):
-        if err <= best_err:
-            best_lam, best_err = lam, err
-    return best_lam
+    return grid[int(_best_lambda_index(np.asarray(errs)))]
+
+
+def _best_lambda_index(errs: np.ndarray) -> np.ndarray:
+    """Grid index chosen from errors (..., L) over the ascending grid: the last minimum, so exact ties go
+    to the larger lam; a NaN error never wins, and an all-NaN row picks the first value."""
+    finite = ~np.isnan(errs)
+    hit = finite & (errs <= np.where(finite, errs, np.inf).min(axis=-1, keepdims=True))
+    last = errs.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)
+    return np.where(hit.any(axis=-1), last, 0)
 
 
 def _ridge_cv_errors(X, y, grid: list[float], folds: np.ndarray, k_folds: int, center: bool) -> np.ndarray:
-    """Mean held-out squared error per grid value, as `ridge_fit` on each fold's
-    training rows would give it, from one stacked solve over folds x grid."""
+    """Mean held-out squared error per grid value (..., L), as `ridge_fit` on each fold's training rows
+    would give it, for problems X (..., n, d), y (..., n) with folds (..., n), from one stacked solve."""
     if grid[0] < 0:
         raise ValueError("lam must be nonnegative")
-    d = X.shape[1]
-    test = (folds == np.arange(k_folds)[:, None]).astype(float)  # (k, n) fold indicators
-    train = 1.0 - test
-    if center:
-        n_train = train.sum(axis=1)
-        x_mean = (train @ X) / n_train[:, None]
-        y_mean = (train @ y) / n_train
-    else:
-        x_mean = np.zeros((k_folds, d))
-        y_mean = np.zeros(k_folds)
-    Xc = (X - x_mean[:, None, :]) * train[:, :, None]  # (k, n, d), held-out rows zeroed
-    yc = (y - y_mean[:, None]) * train
-    Xc_t = np.swapaxes(Xc, 1, 2)
-    gram = Xc_t @ Xc
-    if grid[0] == 0 and (np.linalg.matrix_rank(gram) < d).any():
-        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
-    lams = np.asarray(grid)
-    A = gram[:, None] + lams[:, None, None] * np.eye(d)  # (k, L, d, d)
-    coef = np.linalg.solve(A, (Xc_t @ yc[:, :, None])[:, None])[..., 0]  # (k, L, d)
-    intercept = y_mean[:, None] - np.einsum("ki,kli->kl", x_mean, coef)
+    X = np.asarray(X, dtype=float)
+    test = folds[..., None, :] == np.arange(k_folds)[:, None]  # (..., k, n) fold indicators
+    coef, intercept = weighted_ridge(X, y, ~test, np.asarray(grid), center)  # (..., k, L, d), (..., k, L)
     # each row predicted by the models of the fold that holds it out
-    pred = np.einsum("ni,nli->nl", X, coef[folds]) + intercept[folds]
-    fold_errs = (test @ (pred - y[:, None]) ** 2) / test.sum(axis=1)[:, None]
-    return fold_errs.mean(axis=0)
+    held_out_coef = np.take_along_axis(coef, folds[..., None, None], axis=-3)
+    held_out_intercept = np.take_along_axis(intercept, folds[..., None], axis=-2)
+    pred = np.einsum("...ni,...nli->...nl", X, held_out_coef) + held_out_intercept
+    sq_err = (pred - np.asarray(y, dtype=float)[..., None]) ** 2
+    fold_errs = np.einsum("...kn,...nl->...kl", test.astype(float), sq_err) / test.sum(axis=-1)[..., None]
+    return fold_errs.mean(axis=-2)
+
+
+def cv_lambdas(X, y, config: "LearnerConfig", seeds) -> np.ndarray:
+    """The lam `fit_learner` picks for each ridge problem X[b] (n, d), y[b] when the grid has several
+    values: cross-validated on folds from `seeds[b]`, in one stacked solve over problems, folds and grid."""
+    n = X.shape[-2]
+    k_folds = min(config.cv_folds, n)
+    folds = np.stack([fold_assignments(n, k_folds, seed) for seed in seeds])
+    grid = sorted(config.lambda_grid)
+    return np.asarray(grid)[_best_lambda_index(_ridge_cv_errors(X, y, grid, folds, k_folds, config.center))]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from .core import (
     ExperimentDataset,
     OutcomePanel,
     TreatmentPanel,
+    check_count,
+    check_int,
 )
 from .rng import child_seed, substream
 
@@ -69,8 +71,9 @@ class GraphParams:
     weight_sd: float = 1.0
 
     def __post_init__(self):
-        if self.n_eligible < 1 or self.n_connected < 1 or self.n_ineligible < 0:
-            raise ValueError("need n_eligible >= 1, n_connected >= 1, n_ineligible >= 0")
+        check_count("n_eligible", self.n_eligible, 1)
+        check_count("n_ineligible", self.n_ineligible, 0)
+        check_count("n_connected", self.n_connected, 1)
         if not 0 < self.avg_degree <= self.n_connected:
             raise ValueError("avg_degree must be positive and at most n_connected")
         if self.weight_mode not in ("unit", "lognormal"):
@@ -85,7 +88,8 @@ class RolloutParams:
     stage_probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_boundaries", tuple(int(b) for b in self.stage_boundaries))
+        object.__setattr__(self, "stage_boundaries",
+                           tuple(int(check_int("stage_boundaries", b)) for b in self.stage_boundaries))
         object.__setattr__(self, "stage_probabilities", tuple(float(p) for p in self.stage_probabilities))
         if len(self.stage_boundaries) != len(self.stage_probabilities):
             raise ValueError("one probability per stage boundary")

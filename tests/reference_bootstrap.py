@@ -1,0 +1,285 @@
+"""The per-draw bootstrap that `core.bootstrap_estimate`'s count-row engine replaced.
+
+Kept as the reference the engine is checked against: same point, same
+interval ends within rounding, and the same error for the same failing
+input. Every draw is a sorted index resample; the estimator is refit on the
+resampled rows, with the per-dataset ridge, cross-validation, moment,
+partition and recursion code the estimators ran before. Kernel ridge, fold
+assignment, exposures and pre/post arrays come from the package unchanged.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from interference_lab.core import AllocationScenario, EffectEstimate, MAX_RESAMPLE_TRIES
+from interference_lab.est_basic import _has_variation, _pre_post_arrays
+from interference_lab.est_cmp import StateEvolutionModel, StateFeatures, _adoption_stage, subset_dataset
+from interference_lab.est_network import counterfactual_exposures, exposure_matrix
+from interference_lab.regress import (
+    DegenerateDesignError,
+    RidgeModel,
+    fold_assignments,
+    kernel_ridge_fit,
+    median_bandwidth,
+    predict,
+)
+from interference_lab.rng import child_seed, substream
+
+N_BASELINE_BINS = 4
+
+
+def bootstrap_estimate(method, point, bootstrap, stream, n, statistic, valid=None) -> EffectEstimate:
+    boot = np.empty(bootstrap.n_replicates)
+    for b in range(bootstrap.n_replicates):
+        rg = substream(bootstrap.seed, stream, b)
+        for _ in range(MAX_RESAMPLE_TRIES):
+            idx = np.sort(rg.integers(0, n, size=n))
+            if valid is None or valid(idx):
+                break
+        else:
+            raise RuntimeError(f"{method}: no valid bootstrap resample in {MAX_RESAMPLE_TRIES} draws")
+        boot[b] = statistic(idx, b)
+    return EffectEstimate.from_bootstrap(method, point, boot)
+
+
+# --- regression -----------------------------------------------------------------------------------------
+
+
+def ridge_fit(X, y, lam, center=True) -> RidgeModel:
+    X = np.asarray(X, dtype=float)
+    X = X[:, None] if X.ndim == 1 else X
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    if n < 1:
+        raise ValueError("need at least one training row")
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    x_mean = X.mean(axis=0) if center else np.zeros(d)
+    y_mean = float(y.mean()) if center else 0.0
+    Xc = X - x_mean
+    A = Xc.T @ Xc + lam * np.eye(d)
+    if lam == 0 and np.linalg.matrix_rank(A) < d:
+        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
+    coef = np.linalg.solve(A, Xc.T @ (y - y_mean))
+    return RidgeModel(coefficients=coef, intercept=y_mean - float(x_mean @ coef), lam=float(lam))
+
+
+def _ridge_cv_errors(X, y, grid, folds, k_folds, center):
+    if grid[0] < 0:
+        raise ValueError("lam must be nonnegative")
+    d = X.shape[1]
+    test = (folds == np.arange(k_folds)[:, None]).astype(float)
+    train = 1.0 - test
+    if center:
+        n_train = train.sum(axis=1)
+        x_mean = (train @ X) / n_train[:, None]
+        y_mean = (train @ y) / n_train
+    else:
+        x_mean = np.zeros((k_folds, d))
+        y_mean = np.zeros(k_folds)
+    Xc = (X - x_mean[:, None, :]) * train[:, :, None]
+    yc = (y - y_mean[:, None]) * train
+    Xc_t = np.swapaxes(Xc, 1, 2)
+    gram = Xc_t @ Xc
+    if grid[0] == 0 and (np.linalg.matrix_rank(gram) < d).any():
+        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
+    lams = np.asarray(grid)
+    A = gram[:, None] + lams[:, None, None] * np.eye(d)
+    coef = np.linalg.solve(A, (Xc_t @ yc[:, :, None])[:, None])[..., 0]
+    intercept = y_mean[:, None] - np.einsum("ki,kli->kl", x_mean, coef)
+    pred = np.einsum("ni,nli->nl", X, coef[folds]) + intercept[folds]
+    fold_errs = (test @ (pred - y[:, None]) ** 2) / test.sum(axis=1)[:, None]
+    return fold_errs.mean(axis=0)
+
+
+def cross_validate(X, y, lambda_grid, k_folds, seed, learner, kernel, bandwidth, center) -> float:
+    grid = sorted(float(v) for v in lambda_grid)
+    folds = fold_assignments(len(X), k_folds, seed)
+    if learner == "ridge":
+        errs = _ridge_cv_errors(X, y, grid, folds, k_folds, center)
+    else:
+        if kernel == "rbf" and bandwidth is None:
+            bandwidth = median_bandwidth(X)
+        errs = []
+        for lam in grid:
+            fold_errs = []
+            for j in range(k_folds):
+                train, test = folds != j, folds == j
+                model = kernel_ridge_fit(X[train], y[train], kernel=kernel, lam=lam, bandwidth=bandwidth)
+                fold_errs.append(float(np.mean((predict(model, X[test]) - y[test]) ** 2)))
+            errs.append(float(np.mean(fold_errs)))
+    best_lam, best_err = grid[0], np.inf
+    for lam, err in zip(grid, errs):
+        if err <= best_err:
+            best_lam, best_err = lam, err
+    return best_lam
+
+
+def fit_learner(X, y, config, seed=0):
+    X = np.asarray(X, dtype=float)
+    X = X[:, None] if X.ndim == 1 else X
+    y = np.asarray(y, dtype=float)
+    if len(config.lambda_grid) == 1:
+        lam = config.lambda_grid[0]
+    else:
+        lam = cross_validate(X, y, config.lambda_grid, min(config.cv_folds, len(X)), seed, config.kind,
+                             config.kernel, config.bandwidth, config.center)
+    if config.kind == "ridge":
+        return ridge_fit(X, y, lam, center=config.center)
+    return kernel_ridge_fit(X, y, kernel=config.kernel, lam=lam, bandwidth=config.bandwidth)
+
+
+# --- basic and network_aware ----------------------------------------------------------------------------
+
+
+def contrast_estimate(method, stream, model, design, delta, z_treated, learner, bootstrap) -> EffectEstimate:
+    k = z_treated.shape[1]
+    design_1 = np.hstack([z_treated, design[:, k:]])
+    design_0 = np.hstack([np.zeros_like(z_treated), design[:, k:]])
+
+    def contrast(fit, idx) -> float:
+        return float(np.mean(predict(fit, design_1[idx]) - predict(fit, design_0[idx])))
+
+    def refit(idx, b) -> float:
+        fit = fit_learner(design[idx], delta[idx], learner, seed=child_seed(bootstrap.seed, "boot-fit", b))
+        return contrast(fit, idx)
+
+    point = contrast(model, slice(None))
+    return bootstrap_estimate(method, point, bootstrap, stream, len(design), refit,
+                              valid=lambda idx: _has_variation(design[idx, :k]))
+
+
+def estimate_basic(d, learner, bootstrap) -> EffectEstimate:
+    delta, treated, x = _pre_post_arrays(d)
+    z = treated.astype(float)[:, None]
+    design = z if x is None else np.hstack([z, x])
+    model = fit_learner(design, delta, learner, seed=child_seed(bootstrap.seed, "fit"))
+    return contrast_estimate("basic", "basic-boot", model, design, delta, np.ones_like(z), learner, bootstrap)
+
+
+def estimate_network(d, learner, bootstrap, weighted_exposures=False, all_units_treated=False,
+                     seed=0) -> EffectEstimate:
+    delta, treated, x = _pre_post_arrays(d)
+    exposures = exposure_matrix(d.graph, treated.astype(float), weighted=weighted_exposures)
+    cf = counterfactual_exposures(d.graph, all_units_treated=all_units_treated, weighted=weighted_exposures)
+    if not _has_variation(exposures):
+        raise DegenerateDesignError("all exposure points identical; outcome model unidentified")
+    design = exposures if x is None else np.hstack([exposures, x])
+    model = fit_learner(design, delta, learner, seed=seed)
+    return contrast_estimate("network_aware", "network-boot", model, design, delta, cf, learner, bootstrap)
+
+
+# --- cmp ------------------------------------------------------------------------------------------------
+
+
+def build_features(d, moment_order) -> StateFeatures:
+    T = d.n_periods
+    if T < 2:
+        raise ValueError(f"need at least 2 transitions, got T={T}")
+    by_period = np.ascontiguousarray(d.outcomes.outcomes.T)
+    p = d.treatments.treated_fraction()
+    means = by_period.mean(axis=1)
+    moments = [means]
+    if moment_order >= 2:
+        centered = by_period - means[:, None]
+        moments.extend((centered**k).mean(axis=1) for k in range(2, moment_order + 1))
+    moment_rows = np.column_stack(moments)
+    table = np.column_stack([moment_rows[:-1], p[1:], means[:-1] * p[1:]])
+    return StateFeatures(table=table, targets=means[1:], baseline_mean=float(means[0]),
+                         final_moments=moment_rows[-1], transition_index=np.arange(T))
+
+
+def network_bootstrap(d, n_subpopulations, seed):
+    n = d.n_units
+    if n < 2 * n_subpopulations:
+        raise ValueError(f"need N >= {2 * n_subpopulations} units for {n_subpopulations} subpopulations")
+    baseline = d.outcomes.outcomes[:, 0]
+    ranks = np.empty(n, dtype=int)
+    ranks[np.argsort(baseline, kind="stable")] = np.arange(n)
+    quartile = (ranks * N_BASELINE_BINS) // n
+    stage = _adoption_stage(d.treatments.assignments)
+    start = int(substream(seed, "deal-start").integers(n_subpopulations))
+    order = np.lexsort((np.arange(n), baseline, stage, quartile))
+    label = np.empty(n, dtype=int)
+    label[order] = (start + np.arange(n)) % n_subpopulations
+    return [subset_dataset(d, np.flatnonzero(label == j)) for j in range(n_subpopulations)]
+
+
+def fit_state_evolution(features, learner, seed, time_homogeneous) -> StateEvolutionModel:
+    table = features.table
+    if len(table) < 2:
+        raise ValueError("need at least 2 transition rows to fit the state evolution")
+    center = features.baseline_mean
+    design = table.copy()
+    design[:, -1] = (table[:, 0] - center) * table[:, -2]
+    model = fit_learner(design, features.targets, learner, seed=seed)
+    period_models = None
+    if not time_homogeneous:
+        fits = []
+        for t in np.unique(features.transition_index):
+            rows = features.transition_index == t
+            if rows.sum() < 2:
+                raise DegenerateDesignError(
+                    f"rank-deficient single-row input for transition {t}; "
+                    "pool subpopulation rows to fit per-period maps"
+                )
+            fits.append(ridge_fit(design[rows], features.targets[rows], model.lam))
+        period_models = tuple(fits)
+    return StateEvolutionModel(model=model, interaction_center=center, context_moments=features.final_moments,
+                               period_models=period_models)
+
+
+def counterfactual_evolution(model, baseline_mean, allocation, T) -> np.ndarray:
+    p = 1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0
+    maps = model.period_models or (model.model,)
+    coef = np.stack([m.coefficients for m in maps])
+    intercept = np.array([m.intercept for m in maps])
+    slope = coef[:, 0] + coef[:, -1] * p
+    offset = intercept + coef[:, 1:-2] @ model.context_moments[1:] + p * (
+        coef[:, -2] - coef[:, -1] * model.interaction_center
+    )
+    if model.period_models is None:
+        slope, offset = np.repeat(slope, T), np.repeat(offset, T)
+    means = [float(baseline_mean)]
+    for t, a, b in zip(range(1, T + 1), slope.tolist(), offset.tolist()):
+        means.append(a * means[-1] + b)
+        if not math.isfinite(means[-1]):
+            raise RuntimeError(f"counterfactual recursion diverged at period {t}")
+    return np.array(means)
+
+
+def _training_features(d, config, partition_seed) -> StateFeatures:
+    full = build_features(d, config.moment_order)
+    if len(full.table) >= 3 * (full.table.shape[1] + 1) and config.time_homogeneous:
+        return full
+    parts = [build_features(s, config.moment_order)
+             for s in network_bootstrap(d, config.n_subpopulations, partition_seed)]
+    return StateFeatures(
+        table=np.vstack([p.table for p in parts]),
+        targets=np.concatenate([p.targets for p in parts]),
+        baseline_mean=full.baseline_mean,
+        final_moments=full.final_moments,
+        transition_index=np.concatenate([p.transition_index for p in parts]),
+    )
+
+
+def _cmp_point(d, config, partition_seed, fit_seed) -> float:
+    features = _training_features(d, config, partition_seed)
+    model = fit_state_evolution(features, config.learner, fit_seed, config.time_homogeneous)
+    T = d.n_periods
+    treated = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
+    control = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_CONTROL, T)
+    return float(treated[-1]) - float(control[-1])
+
+
+def estimate_tte_cmp(d, config, bootstrap) -> EffectEstimate:
+    point = _cmp_point(d, config, child_seed(config.seed, "partition"), child_seed(config.seed, "fit"))
+
+    def resampled_point(rows, b) -> float:
+        return _cmp_point(subset_dataset(d, rows), config, child_seed(bootstrap.seed, "partition", b),
+                          child_seed(bootstrap.seed, "fit", b))
+
+    return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, resampled_point)

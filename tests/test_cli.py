@@ -255,7 +255,20 @@ def with_block(block, fields):
     (dict(TINY_SCENARIO, truth_reps=0), "scenario config: truth_reps must be >= 1, got 0"),
     (dict(TINY_SCENARIO, pre_period_end=9), "scenario config: pre_period_end must be <= T-1 = 5, got 9"),
     (dict(TINY_SCENARIO, pre_period_end=-1), "scenario config: pre_period_end must be >= 0, got -1"),
-] + [(with_block(block, fields), message) for block, fields, message in BAD_ESTIMATOR_BLOCKS])
+] + [(with_block(block, fields), message) for block, fields, message in BAD_ESTIMATOR_BLOCKS] + [
+    (dict(TINY_SCENARIO, rollout={"stage_boundaries": [1, 9], "stage_probabilities": [0.3, 0.6]}),
+     "scenario config: rollout stage boundaries must lie within 1..T = 6, got 9"),
+    (dict(TINY_SCENARIO, rollout={"stage_boundaries": [1, 3.7], "stage_probabilities": [0.3, 0.6]}),
+     "rollout params: stage_boundaries must be an integer, got 3.7"),
+    (dict(TINY_SCENARIO, rollout={"stage_boundaries": ["1", 3], "stage_probabilities": [0.3, 0.6]}),
+     "rollout params: stage_boundaries must be an integer, got '1'"),
+    (dict(TINY_SCENARIO, graph=dict(TINY_SCENARIO["graph"], n_eligible=30.5)),
+     "graph params: n_eligible must be an integer, got 30.5"),
+    (dict(TINY_SCENARIO, graph=dict(TINY_SCENARIO["graph"], n_connected=True)),
+     "graph params: n_connected must be an integer, got True"),
+    (dict(TINY_SCENARIO, graph=dict(TINY_SCENARIO["graph"], n_ineligible=-1)),
+     "graph params: n_ineligible must be >= 0, got -1"),
+])
 @pytest.mark.parametrize("command", ["bench", "simulate"])
 def test_malformed_scenario_config_exits_one(tmp_path, capsys, command, config, message):
     bad = tmp_path / "bad.json"

@@ -227,7 +227,8 @@ def test_bootstrap_gives_up_after_max_tries_naming_the_estimator():
     tries = []
     with pytest.raises(RuntimeError, match="^network_aware: no valid bootstrap resample in 100 draws$"):
         bootstrap_estimate("network_aware", 0.0, BootstrapConfig(3, seed=5), "network-boot", 10,
-                           lambda idx, b: 0.0, valid=lambda idx: tries.append(idx) and False)
+                           lambda counts, draws: np.zeros(len(draws)),
+                           valid=lambda counts: tries.append(counts.copy()) and False)
     assert MAX_RESAMPLE_TRIES == 100
     assert len(tries) == MAX_RESAMPLE_TRIES
 
@@ -237,14 +238,17 @@ def test_bootstrap_redraws_stay_on_the_draws_own_stream(k):
     seed, stream, n, B = 11, "basic-boot", 9, 3
     rejections, accepted = [0], {}
 
-    def valid(idx):  # reject the first k draws of every replicate
+    def valid(counts):  # reject the first k draws of every replicate (replicates are drawn in order)
         rejections[0] += 1
-        return rejections[0] > k
+        if rejections[0] > k:
+            rejections[0] = 0
+            return True
+        return False
 
-    def statistic(idx, b):
-        rejections[0] = 0
-        accepted[b] = idx
-        return float(idx.mean())
+    def statistic(counts, draws):
+        for row, b in zip(counts, draws):
+            accepted[b] = np.repeat(np.arange(n), row)
+        return counts @ np.arange(n) / n
 
     est = bootstrap_estimate("basic", 4.0, BootstrapConfig(B, seed=seed), stream, n, statistic, valid=valid)
     assert est.n_bootstrap == B
@@ -271,8 +275,13 @@ def test_bootstrap_without_valid_takes_one_draw_per_replicate(monkeypatch):
 
     monkeypatch.setattr(core, "substream", counting_substream)
     seen = {}
-    est = bootstrap_estimate("cmp", 0.5, BootstrapConfig(4, seed=2), "cmp-boot", 6,
-                             lambda idx, b: seen.setdefault(b, idx).sum() / 6.0)
+
+    def statistic(counts, draws):
+        for row, b in zip(counts, draws):
+            seen.setdefault(b, np.repeat(np.arange(6), row))
+        return counts @ np.arange(6) / 6.0
+
+    est = bootstrap_estimate("cmp", 0.5, BootstrapConfig(4, seed=2), "cmp-boot", 6, statistic)
     assert [g.calls for g in streams] == [1, 1, 1, 1]
     assert est.n_bootstrap == 4
     for b in range(4):

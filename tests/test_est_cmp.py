@@ -21,7 +21,6 @@ from interference_lab.est_cmp import (
     estimate_tte_cmp,
     fit_state_evolution,
     network_bootstrap,
-    stack_features,
 )
 from interference_lab.regress import LearnerConfig, RidgeModel, predict
 from interference_lab.rng import substream
@@ -490,8 +489,12 @@ def test_counterfactual_evolution_matches_predict_loop(time_homogeneous, order):
     )
     parts = [build_features(s, order) for s in network_bootstrap(d, 6, seed=order)]
     full = build_features(d, order)
-    features = dataclasses.replace(
-        stack_features(parts), baseline_mean=full.baseline_mean, final_moments=full.final_moments
+    features = StateFeatures(
+        table=np.vstack([p.table for p in parts]),
+        targets=np.concatenate([p.targets for p in parts]),
+        baseline_mean=full.baseline_mean,
+        final_moments=full.final_moments,
+        transition_index=np.concatenate([p.transition_index for p in parts]),
     )
     model = fit_state_evolution(features, TINY, seed=order, time_homogeneous=time_homogeneous)
     assert (model.period_models is None) == time_homogeneous
