@@ -25,6 +25,7 @@ MAX_RESAMPLE_TRIES = 100
 # Bytes of one chunk's (draws, units) int64 count matrix in `bootstrap_estimate`: 16 draws of a thousand units,
 # few enough that a statistic's per-chunk arrays (cmp's deal holds several per copy) stay near a megabyte.
 CHUNK_BYTES = 1 << 17
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def check_int(name: str, value):
@@ -34,6 +35,20 @@ def check_int(name: str, value):
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_real(name: str, value, minimum=None):
+    """`value` if it is a finite int or float, at least `minimum` when one is given.
+
+    A string or bool would reach the simulator or the learner as a wrong type, and a NaN or infinity makes
+    every replicate fail.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not abs(value) <= _FLOAT_MAX):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 

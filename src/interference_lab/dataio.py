@@ -16,10 +16,11 @@ edge list); save_dataset rejects them.
 Reading and writing are columnar. A file is tokenised once by `csv.reader`
 (its quoting and line-ending rules are the accepted dialect); each column is
 parsed by Python's own `int` or `float`, every row check runs as an array
-mask, and each panel is filled by one scatter. Only when a check fails is the
-first offending row, in file order, looked at on its own to phrase the
-`file:line` error. Saving builds each file's text from whole columns and
-writes it once.
+mask, and each panel is filled by one scatter. These whole-column checks only
+decide whether a file is good. A bad file's rows are then walked once in
+Python, in file order, each row's checks run in turn, and the first row that
+fails one is named in the `file:line` error. Saving builds each file's text
+from whole columns and writes it once.
 """
 
 from __future__ import annotations
@@ -173,41 +174,17 @@ def _read_table(path: Path, expected_header: list[str], allow_extra: bool = Fals
     return header, [rows[i] for i in kept], np.array(kept, dtype=np.intp) + 2
 
 
-def _first(mask: np.ndarray, default: int) -> int:
-    """Index of the first True in `mask`, else `default`."""
-    return int(mask.argmax()) if mask.any() else default
-
-
-def _parse_column(rows: list, j: int, parse, dtype) -> tuple[np.ndarray, int]:
-    """(values, n_ok): cell j of each row through `parse`; n_ok is the first row it rejects, else len(rows)."""
-    try:
-        return np.fromiter(map(parse, map(itemgetter(j), rows)), dtype, len(rows)), len(rows)
-    except (ValueError, KeyError, OverflowError):
-        pass
-    values = []
-    try:
-        values.extend(map(parse, map(itemgetter(j), rows)))
-    except (ValueError, KeyError):
-        pass
-    try:
-        return np.array(values, dtype=dtype), len(values)
-    except OverflowError:  # an int beyond int64 ends the column, as a rejected cell does
-        n_ok = next(i for i, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
-        return np.array(values[:n_ok], dtype=dtype), n_ok
-
-
-def _parse_columns(rows: list, parsers: list) -> tuple[list[np.ndarray], int]:
-    """Columns of the rows through `parsers`, cut at `stop`: the first row of the wrong width or with a
-    cell its parser rejects (len(rows) when there is none)."""
+def _parse_columns(rows: list, parsers: list) -> list[np.ndarray] | None:
+    """The columns of the rows through `parsers`, or None when a row has the wrong width or a cell fails its
+    parser (an int beyond int64 fails too)."""
     widths = np.fromiter(map(len, rows), np.intp, len(rows))
-    stop = _first(widths != len(parsers), len(rows))
-    head = rows[:stop] if stop < len(rows) else rows
-    columns = []
-    for j, (parse, dtype) in enumerate(parsers):
-        values, n_ok = _parse_column(head, j, parse, dtype)
-        columns.append(values)
-        stop = min(stop, n_ok)
-    return [values[:stop] for values in columns], stop
+    if (widths != len(parsers)).any():
+        return None
+    try:
+        return [np.fromiter(map(parse, map(itemgetter(j), rows)), dtype, len(rows))
+                for j, (parse, dtype) in enumerate(parsers)]
+    except (ValueError, KeyError, OverflowError):
+        return None
 
 
 def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
@@ -225,22 +202,13 @@ def _parse_id(value: str, path: Path, lineno: int, what: str) -> int:
     return x
 
 
-def _float_error(value: str, path: Path, lineno: int, what: str) -> DataFormatError:
-    """The error for a cell that float() rejects or reads as non-finite."""
-    try:
-        float(value)
-    except ValueError:
-        return DataFormatError(path.name, lineno, f"non-numeric {what}: {value!r}")
-    return DataFormatError(path.name, lineno, f"non-finite {what}: {value!r}")
-
-
 def _parse_float(value: str, path: Path, lineno: int, what: str) -> float:
     try:
         x = float(value)
     except ValueError:
-        raise _float_error(value, path, lineno, what) from None
+        raise DataFormatError(path.name, lineno, f"non-numeric {what}: {value!r}") from None
     if not math.isfinite(x):
-        raise _float_error(value, path, lineno, what)
+        raise DataFormatError(path.name, lineno, f"non-finite {what}: {value!r}")
     return x
 
 
@@ -276,49 +244,42 @@ def _load_meta(root: Path) -> dict:
 _W_CODES = {"0": 0, "1": 1}
 
 
-def _raise_panel_row_error(path: Path, row: list[str], lineno: int, col: str, n: int, t_lo: int, t_hi: int,
-                           earlier_keys: np.ndarray):
-    """Phrase a panel row's first failing check, in the order the checks apply to a row.
-
-    `earlier_keys` are the flat (unit, t) cells of the rows before it, all of which passed."""
-    if len(row) != 3:
-        raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
-    uid = _parse_int(row[0], path, lineno, "unit_id")
-    t = _parse_int(row[1], path, lineno, "t")
-    if not 1 <= uid <= n:
-        raise DataFormatError(path.name, lineno, f"unit_id {uid} outside 1..{n}")
-    if not t_lo <= t <= t_hi:
-        raise DataFormatError(path.name, lineno, f"t={t} outside {t_lo}..{t_hi}")
-    if np.any(earlier_keys == (uid - 1) * (t_hi - t_lo + 1) + t - t_lo):
-        raise DataFormatError(path.name, lineno, f"duplicate entry for unit {uid}, t={t}")
-    if col == "w":
-        raise DataFormatError(path.name, lineno, f"w must be 0 or 1, got {row[2]!r}")
-    raise _float_error(row[2], path, lineno, col)
-
-
-def _first_repeat(keys: np.ndarray) -> int:
-    """Index of the first key equal to an earlier one, else len(keys)."""
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(repeats.min()) if repeats.size else len(keys)
+def _raise_first_panel_error(path: Path, rows: list, lines: np.ndarray, col: str, n: int, t_lo: int, t_hi: int):
+    """Raise at the first row, in file order, that fails a panel check, running each row's checks in turn."""
+    seen = set()
+    for lineno, row in zip(lines.tolist(), rows):
+        if len(row) != 3:
+            raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
+        uid = _parse_int(row[0], path, lineno, "unit_id")
+        t = _parse_int(row[1], path, lineno, "t")
+        if not 1 <= uid <= n:
+            raise DataFormatError(path.name, lineno, f"unit_id {uid} outside 1..{n}")
+        if not t_lo <= t <= t_hi:
+            raise DataFormatError(path.name, lineno, f"t={t} outside {t_lo}..{t_hi}")
+        if (uid, t) in seen:
+            raise DataFormatError(path.name, lineno, f"duplicate entry for unit {uid}, t={t}")
+        seen.add((uid, t))
+        if col == "y":
+            _parse_float(row[2], path, lineno, col)
+        elif row[2] not in _W_CODES:
+            raise DataFormatError(path.name, lineno, f"w must be 0 or 1, got {row[2]!r}")
 
 
 def _load_panel_file(path: Path, col: str, n: int, t_lo: int, t_hi: int) -> np.ndarray:
     """The n x (t_hi - t_lo + 1) panel of a `unit_id,t,<col>` file: int8 for w, float for y."""
     _, rows, lines = _read_table(path, ["unit_id", "t", col])
     value_parser = (_W_CODES.__getitem__, np.int8) if col == "w" else (float, np.float64)
-    (uid, t, values), stop = _parse_columns(rows, [(int, np.int64), (int, np.int64), value_parser])
+    columns = _parse_columns(rows, [(int, np.int64), (int, np.int64), value_parser])
+    if columns is None:
+        _raise_first_panel_error(path, rows, lines, col, n, t_lo, t_hi)
+    uid, t, values = columns
+    if not ((uid >= 1) & (uid <= n) & (t >= t_lo) & (t <= t_hi) & np.isfinite(values)).all():
+        _raise_first_panel_error(path, rows, lines, col, n, t_lo, t_hi)
     width = t_hi - t_lo + 1
-    in_range = (uid >= 1) & (uid <= n) & (t >= t_lo) & (t <= t_hi)
-    ok = in_range if col == "w" else in_range & np.isfinite(values)
-    keys = ((uid[in_range] - 1) * width + (t[in_range] - t_lo)).astype(np.int64)
+    keys = (uid - 1) * width + (t - t_lo)
     counts = np.bincount(keys, minlength=n * width)
-    if stop < len(rows) or not ok.all() or counts.max(initial=0) > 1:
-        in_range_rows = np.flatnonzero(in_range)
-        repeat = _first_repeat(keys)
-        first_duplicate = int(in_range_rows[repeat]) if repeat < keys.size else len(rows)
-        bad = min(_first(~ok, stop), first_duplicate)
-        _raise_panel_row_error(path, rows[bad], int(lines[bad]), col, n, t_lo, t_hi, keys[:bad])
+    if counts.max(initial=0) > 1:
+        _raise_first_panel_error(path, rows, lines, col, n, t_lo, t_hi)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         i, t_missing = divmod(int(missing[0]), width)
@@ -371,26 +332,31 @@ def _load_units(root: Path):
     return n, ineligible_ids, covariates
 
 
-def _raise_graph_row_error(path: Path, row: list[str], lineno: int, n_eligible: int, ineligible_ids: list[int]):
-    """Phrase a graph row's first failing check, in the order the checks apply to a row."""
-    if len(row) != 3:
-        raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
-    tid = _parse_int(row[0], path, lineno, "treatment_unit_id")
-    _parse_id(row[1], path, lineno, "connected_unit_id")
-    weight = _parse_float(row[2], path, lineno, "weight")
-    if not (1 <= tid <= n_eligible or tid in ineligible_ids):
-        raise DataFormatError(path.name, lineno, f"treatment unit {tid} not listed in units.csv")
-    raise DataFormatError(path.name, lineno, f"negative weight {weight}")
+def _raise_first_graph_error(path: Path, rows: list, lines: np.ndarray, n_eligible: int, ineligible_ids: list[int]):
+    """Raise at the first row, in file order, that fails a graph check, running each row's checks in turn."""
+    ineligible = set(ineligible_ids)
+    for lineno, row in zip(lines.tolist(), rows):
+        if len(row) != 3:
+            raise DataFormatError(path.name, lineno, f"expected 3 columns, got {len(row)}")
+        tid = _parse_int(row[0], path, lineno, "treatment_unit_id")
+        _parse_id(row[1], path, lineno, "connected_unit_id")
+        weight = _parse_float(row[2], path, lineno, "weight")
+        if not (1 <= tid <= n_eligible or tid in ineligible):
+            raise DataFormatError(path.name, lineno, f"treatment unit {tid} not listed in units.csv")
+        if weight < 0:
+            raise DataFormatError(path.name, lineno, f"negative weight {weight}")
 
 
 def _load_graph(root: Path, n_eligible: int, ineligible_ids: list[int]) -> BipartiteGraph:
     path = root / "graph.csv"
     _, rows, lines = _read_table(path, ["treatment_unit_id", "connected_unit_id", "weight"])
-    (et, ec, ew), stop = _parse_columns(rows, [(int, np.int64), (int, np.int64), (float, np.float64)])
+    columns = _parse_columns(rows, [(int, np.int64), (int, np.int64), (float, np.float64)])
+    if columns is None:
+        _raise_first_graph_error(path, rows, lines, n_eligible, ineligible_ids)
+    et, ec, ew = columns
     known = ((et >= 1) & (et <= n_eligible)) | np.isin(et, ineligible_ids)
-    bad = _first(~(known & np.isfinite(ew) & (ew >= 0)), stop)
-    if bad < len(rows):
-        _raise_graph_row_error(path, rows[bad], int(lines[bad]), n_eligible, ineligible_ids)
+    if not (known & np.isfinite(ew) & (ew >= 0)).all():
+        _raise_first_graph_error(path, rows, lines, n_eligible, ineligible_ids)
     return BipartiteGraph(
         treatment_ids=list(range(1, n_eligible + 1)) + ineligible_ids,
         eligible=[True] * n_eligible + [False] * len(ineligible_ids),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_count, check_flag
+from .core import check_count, check_flag, check_real
 from .rng import substream
 
 # Log-spaced default grid; bench preset files restate it so it stays visible.
@@ -310,13 +310,16 @@ class LearnerConfig:
             raise ValueError(f"unknown learner kind {self.kind!r}")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be nonempty")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        object.__setattr__(self, "lambda_grid",
+                           tuple(float(check_real("lambda_grid values", v)) for v in self.lambda_grid))
         if min(self.lambda_grid) < 0:
             raise ValueError(f"lambda_grid values must be >= 0, got {min(self.lambda_grid)}")
         # cross_validate needs two folds whenever the grid has a choice to make
         check_count("cv_folds", self.cv_folds, 2 if len(self.lambda_grid) > 1 else 1)
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
+        if self.bandwidth is not None:
+            check_real("bandwidth", self.bandwidth)
         check_flag("center", self.center)
 
     @classmethod

@@ -36,6 +36,7 @@ from .core import (
     TreatmentPanel,
     check_count,
     check_int,
+    check_real,
 )
 from .rng import child_seed, substream
 
@@ -52,6 +53,9 @@ class DgpParams:
     baseline_sd: float = 1.0
 
     def __post_init__(self):
+        for name in ("beta", "gamma", "rho", "sigma", "baseline_mean"):
+            check_real(name, getattr(self, name))
+        check_real("baseline_sd", self.baseline_sd, minimum=0)
         if not abs(self.rho) < 1:
             raise ValueError("|rho| < 1 required for stable dynamics")
         if self.sigma < 0:
@@ -74,6 +78,9 @@ class GraphParams:
         check_count("n_eligible", self.n_eligible, 1)
         check_count("n_ineligible", self.n_ineligible, 0)
         check_count("n_connected", self.n_connected, 1)
+        check_real("avg_degree", self.avg_degree)
+        check_real("weight_mu", self.weight_mu)
+        check_real("weight_sd", self.weight_sd, minimum=0)
         if not 0 < self.avg_degree <= self.n_connected:
             raise ValueError("avg_degree must be positive and at most n_connected")
         if self.weight_mode not in ("unit", "lognormal"):
@@ -90,7 +97,8 @@ class RolloutParams:
     def __post_init__(self):
         object.__setattr__(self, "stage_boundaries",
                            tuple(int(check_int("stage_boundaries", b)) for b in self.stage_boundaries))
-        object.__setattr__(self, "stage_probabilities", tuple(float(p) for p in self.stage_probabilities))
+        object.__setattr__(self, "stage_probabilities",
+                           tuple(float(check_real("stage_probabilities", p)) for p in self.stage_probabilities))
         if len(self.stage_boundaries) != len(self.stage_probabilities):
             raise ValueError("one probability per stage boundary")
         if not self.stage_boundaries:

@@ -116,6 +116,45 @@ def test_estimator_failure_is_isolated(monkeypatch):
     assert sc["sign_agreement"]["basic"]["cmp"] is None
 
 
+def test_simulation_failure_fails_every_method(monkeypatch):
+    cfg = tiny_scenario(replicates=2)
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("synthetic simulation failure")
+
+    monkeypatch.setattr(bench, "simulate_scenario_dataset", explode)
+    report = run_scenario(cfg)
+    sc = report.scenarios[0]
+    for rec in sc["replicates"]:
+        assert rec["truth"] is None
+        assert rec["errors"] == {m: "simulation failed: synthetic simulation failure" for m in METHODS}
+    assert sc["methods"] == {m: {"n_ok": 0, "n_failed": 2} for m in METHODS}
+    assert sc["truth_mean"] is None
+    assert render_report(report).count(" | failed (2) | - | - | - |") == 3
+
+
+def markdown_rows(text: str) -> dict:
+    """Table rows of a markdown report keyed by their first cell."""
+    return {line.split(" | ")[0][2:]: line for line in text.splitlines() if line.startswith("| ")}
+
+
+def test_render_markdown_shows_failed_method_and_expected_bias_match(monkeypatch):
+    cfg = tiny_scenario(replicates=2, gamma=-1.5)
+    cfg = ScenarioConfig(**{**cfg.__dict__, "expected_bias_sign": "positive"})
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(bench, "estimate_network", explode)
+    report = run_scenario(cfg)
+    bd = report.scenarios[0]["bias_direction"]
+    rows = markdown_rows(render_report(report))
+    assert rows["network_aware"] == "| network_aware | failed (2) | - | - | - |"
+    verdict = "yes" if bd["verdict"] else "no"
+    assert rows["basic"].endswith(f" | {verdict} ({100 * bd['basic_match_rate']:.1f}%) |")
+    assert rows["cmp"].endswith(" | - |")
+
+
 def test_render_markdown_has_three_method_rows():
     cfg = tiny_scenario(replicates=2)
     report = run_scenario(cfg)

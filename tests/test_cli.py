@@ -268,6 +268,20 @@ def with_block(block, fields):
      "graph params: n_connected must be an integer, got True"),
     (dict(TINY_SCENARIO, graph=dict(TINY_SCENARIO["graph"], n_ineligible=-1)),
      "graph params: n_ineligible must be >= 0, got -1"),
+    (dict(TINY_SCENARIO, dgp=dict(TINY_SCENARIO["dgp"], beta="1")),
+     "dgp params: beta must be a finite number, got '1'"),
+    (dict(TINY_SCENARIO, dgp=dict(TINY_SCENARIO["dgp"], baseline_sd=-1)),
+     "dgp params: baseline_sd must be >= 0, got -1"),
+    (dict(TINY_SCENARIO, dgp=dict(TINY_SCENARIO["dgp"], baseline_mean=float("nan"))),
+     "dgp params: baseline_mean must be a finite number, got nan"),
+    (dict(TINY_SCENARIO, dgp=dict(TINY_SCENARIO["dgp"], beta=float("inf"))),
+     "dgp params: beta must be a finite number, got inf"),
+    (dict(TINY_SCENARIO, graph=dict(TINY_SCENARIO["graph"], weight_mode="lognormal", weight_sd="x")),
+     "graph params: weight_sd must be a finite number, got 'x'"),
+    (with_block("basic", {"learner": {"kind": "ridge", "lambda_grid": [float("nan")]}}),
+     "learner config: lambda_grid values must be a finite number, got nan"),
+    (with_block("cmp", {"learner": {"kind": "ridge", "lambda_grid": [True]}}),
+     "learner config: lambda_grid values must be a finite number, got True"),
 ])
 @pytest.mark.parametrize("command", ["bench", "simulate"])
 def test_malformed_scenario_config_exits_one(tmp_path, capsys, command, config, message):

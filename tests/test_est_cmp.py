@@ -398,6 +398,26 @@ def test_estimate_tte_cmp_deterministic():
     assert a.method == "cmp"
 
 
+def test_one_value_lambda_grid_matches_cv_over_that_value():
+    # T=20 gives 20 transition rows for 4 feature columns, so cmp fits the full panel and does not pool.
+    d = simulate_experiment(
+        GraphParams(n_eligible=60, n_connected=90, avg_degree=2.0),
+        DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.4, baseline_mean=3.0, baseline_sd=1.0),
+        RolloutParams((2, 5), (0.3, 0.6)),
+        T=20,
+        seed=53,
+    )
+    bs = BootstrapConfig(25, seed=4)
+
+    def estimate(grid, seed):
+        config = CmpConfig(n_subpopulations=5, learner=LearnerConfig(lambda_grid=grid), seed=seed)
+        return estimate_tte_cmp(d, config, bs)
+
+    constant = estimate((1e-6,), seed=1)
+    assert constant == estimate((1e-6, 1e-6), seed=1)  # CV can only pick 1e-6
+    assert constant == estimate((1e-6,), seed=2)  # no CV folds and no partition read the seed
+
+
 def loop_partition(d, k, seed):
     """Reference for `network_bootstrap`: the per-stratum, per-unit round-robin deal."""
     n = d.n_units
