@@ -84,7 +84,6 @@ class ScenarioConfig:
     T: int
     seed: int
     replicates: int = 1
-    truth_reps: int = 3
     pre_period_end: int | None = None
     expected_bias_sign: str | None = None
     basic: BasicSettings = BasicSettings()
@@ -95,7 +94,6 @@ class ScenarioConfig:
         check_int("seed", self.seed)
         check_count("replicates", self.replicates, 1)
         check_count("T", self.T, 1)
-        check_count("truth_reps", self.truth_reps, 1)
         if self.rollout.stage_boundaries[-1] > self.T:
             raise ValueError(f"rollout stage boundaries must lie within 1..T = {self.T}, "
                              f"got {self.rollout.stage_boundaries[-1]}")
@@ -202,9 +200,7 @@ def _run_replicate(cfg: ScenarioConfig, r: int) -> dict:
     record = {"index": r, "truth": None, "estimates": {m: None for m in METHODS}, "errors": {}}
     try:
         dataset = simulate_scenario_dataset(cfg, r)
-        record["truth"] = ground_truth_tte(
-            dataset.graph, cfg.dgp, cfg.T, seed=child_seed(rep_seed, "truth"), n_reps=cfg.truth_reps
-        )
+        record["truth"] = ground_truth_tte(dataset.graph, cfg.dgp, cfg.T)
     except Exception as exc:  # failed replicate: all methods marked failed
         for m in METHODS:
             record["errors"][m] = f"simulation failed: {exc}"

@@ -318,8 +318,8 @@ class LearnerConfig:
         check_count("cv_folds", self.cv_folds, 2 if len(self.lambda_grid) > 1 else 1)
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.bandwidth is not None:
-            check_real("bandwidth", self.bandwidth)
+        if self.bandwidth is not None and not check_real("bandwidth", self.bandwidth) > 0:
+            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         check_flag("center", self.center)
 
     @classmethod

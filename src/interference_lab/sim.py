@@ -18,8 +18,8 @@ shape tau) but never treated and never appear in estimator inputs.
 
 Baseline and noise draws are consumed before any assignment-dependent
 computation, so two simulations with the same seed share identical draws
-regardless of the treatment panel: this gives common random numbers to the
-ground-truth oracle and makes the gamma=0 no-interference reduction exact.
+regardless of the treatment panel: this makes the gamma=0 no-interference
+reduction exact, and b and eps cancel from the oracle's closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AllocationScenario,
     BipartiteGraph,
     ExperimentDataset,
     OutcomePanel,
@@ -118,25 +117,29 @@ def generate_graph(gp: GraphParams, seed: int) -> BipartiteGraph:
     """Random sparse bipartite graph; deterministic for a given seed.
 
     Treatment-unit degrees are Poisson(avg_degree) redrawn into [1, n_connected];
-    each unit's connected endpoints are drawn uniformly without replacement.
-    Eligible units get ids 1..n_eligible, ineligible units follow.
+    each unit's connected endpoints are drawn uniformly without replacement
+    (Floyd's algorithm, vectorised over units). Ids: eligible 1..n_eligible, then ineligible.
     """
     rg = substream(seed, "graph")
-    n_treat = gp.n_eligible + gp.n_ineligible
+    n_treat, n = gp.n_eligible + gp.n_ineligible, gp.n_connected
     degrees = rg.poisson(gp.avg_degree, size=n_treat)
-    bad = (degrees < 1) | (degrees > gp.n_connected)
+    bad = (degrees < 1) | (degrees > n)
     while bad.any():
         degrees[bad] = rg.poisson(gp.avg_degree, size=int(bad.sum()))
-        bad = (degrees < 1) | (degrees > gp.n_connected)
+        bad = (degrees < 1) | (degrees > n)
 
-    edge_treatment, edge_connected = [], []
-    pool = np.arange(1, gp.n_connected + 1)
-    for i in range(n_treat):
-        targets = np.sort(rg.choice(pool, size=degrees[i], replace=False))
-        edge_treatment.append(np.full(degrees[i], i + 1, dtype=np.int64))
-        edge_connected.append(targets)
-    edge_treatment = np.concatenate(edge_treatment)
-    edge_connected = np.concatenate(edge_connected)
+    # Column j of a unit of degree d draws from 0..n-d+j; a value the unit already
+    # holds is replaced by n-d+j itself, which no earlier column can hold.
+    targets = np.full((n_treat, degrees.max()), n)
+    for j in range(targets.shape[1]):
+        rows = np.flatnonzero(degrees > j)
+        hi = n - degrees[rows] + j
+        draw = rg.integers(0, hi + 1)
+        taken = (targets[rows, :j] == draw[:, None]).any(axis=1)
+        targets[rows, j] = np.where(taken, hi, draw)
+    targets.sort(axis=1)
+    edge_treatment = np.repeat(np.arange(1, n_treat + 1), degrees)
+    edge_connected = targets[np.arange(targets.shape[1]) < degrees[:, None]] + 1
 
     if gp.weight_mode == "unit":
         weights = np.ones(edge_treatment.size)
@@ -165,6 +168,13 @@ def assign_staggered_rollout(n_units: int, T: int, rp: RolloutParams, seed: int)
     return TreatmentPanel(assignments, design_tag="staggered")
 
 
+def _treated_share(c_idx: np.ndarray, treated_edge: np.ndarray, n_connected: int) -> np.ndarray:
+    """tau per connected unit: the treated share of its edges; 0, not 0/0, for a unit without edges."""
+    neighbors = np.bincount(c_idx, minlength=n_connected).astype(float)
+    treated = np.bincount(c_idx, weights=treated_edge, minlength=n_connected)
+    return np.divide(treated, neighbors, out=np.zeros_like(treated), where=neighbors > 0)
+
+
 def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: int) -> OutcomePanel:
     """Run the edge-level recursion; returns the eligible-unit outcome panel."""
     w_full = g.zero_extend(w.assignments)
@@ -176,7 +186,6 @@ def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: 
     noise = rg.normal(0.0, p.sigma, size=(g.n_edges, T)) if p.sigma > 0 else None
 
     t_idx, c_idx = g.edge_positions()
-    neighbor_count = np.bincount(c_idx, minlength=g.n_connected_units).astype(float)
 
     eligible_pos = np.flatnonzero(g.eligible)
     omega = g.edge_weight
@@ -191,10 +200,7 @@ def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: 
     Y[:, 0] = aggregate(y_edge)
     for t in range(1, T + 1):
         w_t = w_full[:, t - 1]
-        treated_neighbors = np.bincount(c_idx, weights=w_t[t_idx], minlength=g.n_connected_units)
-        # A connected unit with no edges has no neighbours to be treated: its tau is 0, not 0/0.
-        tau = np.divide(treated_neighbors, neighbor_count, out=np.zeros_like(treated_neighbors),
-                        where=neighbor_count > 0)
+        tau = _treated_share(c_idx, w_t[t_idx], g.n_connected_units)
         y_edge = (1 - p.rho) * b_edge + p.rho * y_edge + p.beta * w_t[t_idx] + p.gamma * tau[c_idx]
         if noise is not None:
             y_edge = y_edge + noise[:, t - 1]
@@ -202,25 +208,21 @@ def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: 
     return OutcomePanel(Y)
 
 
-def ground_truth_tte(g: BipartiteGraph, p: DgpParams, T: int, seed: int, n_reps: int) -> float:
-    """Simulated value of the final-period all-treated vs all-control contrast.
+def ground_truth_tte(g: BipartiteGraph, p: DgpParams, T: int) -> float:
+    """The oracle: final-period all-treated vs all-control contrast, averaged over eligible units.
 
-    Each replicate runs both allocations under common random numbers, averages
-    the final-period outcome over eligible units, and takes the difference;
-    replicates are averaged. This is the oracle estimators are judged against.
+    Both arms share b and eps, so in this linear recursion edge e's contrast is exactly
+    (beta * 1[j(e) eligible] + gamma * tau1[c(e)]) * (1 - rho^T) / (1 - rho), tau1[c] being
+    the eligible share of c's neighbours; a unit sums weight[e] times it over its edges.
+    This holds for this DGP only: a change to `simulate_outcomes` needs its own oracle.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    n_elig = int(g.eligible.sum())
-    treated = AllocationScenario.ALL_TREATED.expand(n_elig, T)
-    control = AllocationScenario.ALL_CONTROL.expand(n_elig, T)
-    diffs = np.empty(n_reps)
-    for r in range(n_reps):
-        rep_seed = child_seed(seed, "truth-rep", r)
-        y1 = simulate_outcomes(g, treated, p, rep_seed)
-        y0 = simulate_outcomes(g, control, p, rep_seed)
-        diffs[r] = float(np.mean(y1.outcomes[:, T] - y0.outcomes[:, T]))
-    return float(diffs.mean())
+    check_count("T", T, 1)
+    t_idx, c_idx = g.edge_positions()
+    direct = g.eligible[t_idx].astype(float)
+    tau = _treated_share(c_idx, direct, g.n_connected_units)
+    edge = (p.beta * direct + p.gamma * tau[c_idx]) * ((1 - p.rho**T) / (1 - p.rho))
+    unit = np.bincount(t_idx, weights=g.edge_weight * edge, minlength=g.n_treatment_units)
+    return float(unit[g.eligible].mean())
 
 
 def simulate_experiment(

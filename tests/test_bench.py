@@ -35,7 +35,6 @@ def tiny_scenario(name="tiny", seed=101, replicates=3, **dgp_kwargs):
         T=6,
         seed=seed,
         replicates=replicates,
-        truth_reps=2,
         expected_bias_sign=None,
         basic=bench.BasicSettings(learner=LearnerConfig(lambda_grid=(1e-8,)), n_bootstrap=25),
         network=bench.NetworkSettings(learner=LearnerConfig(lambda_grid=(1e-8,)), n_bootstrap=25),

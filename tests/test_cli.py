@@ -15,7 +15,6 @@ TINY_SCENARIO = {
     "T": 6,
     "seed": 71,
     "replicates": 2,
-    "truth_reps": 2,
     "estimators": {
         "basic": {"learner": {"kind": "ridge", "lambda_grid": [1e-8]}, "n_bootstrap": 20},
         "network": {"learner": {"kind": "ridge", "lambda_grid": [1e-8]}, "n_bootstrap": 20},
@@ -252,7 +251,7 @@ def with_block(block, fields):
      "learner config must be a JSON object, got str"),
     (dict(TINY_SCENARIO, T=6.0), "scenario config: T must be an integer, got 6.0"),
     (dict(TINY_SCENARIO, replicates=True), "scenario config: replicates must be an integer, got True"),
-    (dict(TINY_SCENARIO, truth_reps=0), "scenario config: truth_reps must be >= 1, got 0"),
+    (dict(TINY_SCENARIO, truth_reps=0), "unknown scenario config keys: ['truth_reps']"),
     (dict(TINY_SCENARIO, pre_period_end=9), "scenario config: pre_period_end must be <= T-1 = 5, got 9"),
     (dict(TINY_SCENARIO, pre_period_end=-1), "scenario config: pre_period_end must be >= 0, got -1"),
 ] + [(with_block(block, fields), message) for block, fields, message in BAD_ESTIMATOR_BLOCKS] + [
@@ -282,6 +281,10 @@ def with_block(block, fields):
      "learner config: lambda_grid values must be a finite number, got nan"),
     (with_block("cmp", {"learner": {"kind": "ridge", "lambda_grid": [True]}}),
      "learner config: lambda_grid values must be a finite number, got True"),
+    (with_block("basic", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1], "bandwidth": -1.0}}),
+     "learner config: bandwidth must be > 0, got -1.0"),
+    (with_block("basic", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1], "bandwidth": 0}}),
+     "learner config: bandwidth must be > 0, got 0"),
 ])
 @pytest.mark.parametrize("command", ["bench", "simulate"])
 def test_malformed_scenario_config_exits_one(tmp_path, capsys, command, config, message):

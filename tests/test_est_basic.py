@@ -133,7 +133,7 @@ SMALL_ROLLOUT = RolloutParams((1, 2), (0.0, 0.6))
 def test_estimate_within_three_bootstrap_ses_of_truth_without_interference():
     dgp = DgpParams(beta=1.0, gamma=0.0, rho=0.0, sigma=0.5, baseline_mean=5.0, baseline_sd=1.0)
     d = simulate_experiment(SMALL_GRAPH, dgp, SMALL_ROLLOUT, T=8, seed=21, pre_period_end=1)
-    truth = ground_truth_tte(d.graph, dgp, T=8, seed=1, n_reps=2)
+    truth = ground_truth_tte(d.graph, dgp, T=8)
     est = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(200, seed=3))
     se = (est.ci_high - est.ci_low) / 3.92
     assert abs(est.point - truth) <= 3 * se
@@ -144,7 +144,7 @@ def test_mean_bias_within_three_mc_ses_when_gamma_zero():
     bias = []
     for rep in range(200):
         d = simulate_experiment(SMALL_GRAPH, dgp, SMALL_ROLLOUT, T=8, seed=1000 + rep, pre_period_end=1)
-        truth = ground_truth_tte(d.graph, dgp, T=8, seed=rep, n_reps=1)
+        truth = ground_truth_tte(d.graph, dgp, T=8)
         est = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(1, seed=0))
         bias.append(est.point - truth)
     bias = np.asarray(bias)
@@ -157,7 +157,7 @@ def test_expectation_falls_below_truth_under_positive_spillover():
     bias = []
     for rep in range(60):
         d = simulate_experiment(SMALL_GRAPH, dgp, SMALL_ROLLOUT, T=8, seed=2000 + rep, pre_period_end=1)
-        truth = ground_truth_tte(d.graph, dgp, T=8, seed=rep, n_reps=1)
+        truth = ground_truth_tte(d.graph, dgp, T=8)
         est = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(1, seed=0))
         bias.append(est.point - truth)
     bias = np.asarray(bias)

@@ -172,7 +172,7 @@ def test_network_estimate_tracks_oracle_while_basic_is_biased():
     gp = GraphParams(n_eligible=300, n_ineligible=50, n_connected=40, avg_degree=3.0)
     dgp = DgpParams(beta=1.0, gamma=-2.0, rho=0.0, sigma=0.3, baseline_mean=5.0, baseline_sd=1.0)
     d = simulate_experiment(gp, dgp, RolloutParams((1,), (0.5,)), T=8, seed=42, pre_period_end=0)
-    truth = ground_truth_tte(d.graph, dgp, 8, seed=1, n_reps=3)
+    truth = ground_truth_tte(d.graph, dgp, 8)
     est_n, _ = estimate_network(d, learner=OLS, bootstrap=BootstrapConfig(200, seed=2))
     est_b = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(200, seed=2))
     se_n = (est_n.ci_high - est_n.ci_low) / 3.92

@@ -8,6 +8,9 @@ else is a change in results. Regenerate the files, only for an intended
 change in results, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per file, the largest relative change of each numeric field
+before it overwrites the file.
 """
 
 import json
@@ -33,7 +36,6 @@ POOLED = {
     "T": 6,
     "seed": 101,
     "replicates": 3,
-    "truth_reps": 2,
     "estimators": {
         "basic": {"learner": {"kind": "ridge", "lambda_grid": [1e-8]}, "n_bootstrap": 25},
         "network": {"learner": {"kind": "ridge", "lambda_grid": [1e-8]}, "n_bootstrap": 25},
@@ -103,6 +105,36 @@ def assert_close(got, want, path="$"):
         assert got == want and type(got) is type(want), f"{path}: {got!r} != {want!r}"
 
 
+def numeric_fields(obj, path=()):
+    """(path, value) of every number in a JSON value; bools are not numbers."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from numeric_fields(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from numeric_fields(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path, obj
+
+
+def largest_changes(old: dict, new: dict) -> dict[str, float]:
+    """Largest relative change per field name (the last key of a number's path) between two JSON values.
+
+    A field found on one side only is reported as `inf`; a zero that stays zero as 0.
+    """
+    old_values, new_values = dict(numeric_fields(old)), dict(numeric_fields(new))
+    out: dict[str, float] = {}
+    for path in old_values.keys() | new_values.keys():
+        field = next((key for key in reversed(path) if isinstance(key, str)), "$")
+        a, b = old_values.get(path), new_values.get(path)
+        if a is None or b is None:
+            change = math.inf
+        else:
+            change = abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf)
+        out[field] = max(out.get(field, 0.0), change)
+    return out
+
+
 def assert_matches_golden(text: str, name: str):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     if text != want:
@@ -136,14 +168,28 @@ def test_tolerance_admits_rounding_only():
             assert_close(bad, want)
 
 
+def test_largest_changes_reports_each_numeric_field():
+    old = {"truth": 2.0, "reps": [{"point": 1.0, "flag": True}, {"point": 4.0, "gone": 1}], "zero": 0.0}
+    new = {"truth": 2.0, "reps": [{"point": 1.5, "flag": False}, {"point": 4.0}], "zero": 0.0, "added": 3}
+    assert largest_changes(old, new) == {"truth": 0.0, "point": 0.5, "gone": math.inf, "zero": 0.0,
+                                         "added": math.inf}
+
+
 def write_golden():
-    GOLDEN.mkdir(exist_ok=True)
-    for variant, obj in SCENARIOS.items():
-        (GOLDEN / f"report_{variant}.json").write_text(bench_report(obj), encoding="utf-8")
+    outputs = {f"report_{variant}.json": bench_report(obj) for variant, obj in SCENARIOS.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in cli_estimates(Path(tmp)).items():
-            (GOLDEN / name).write_text(text, encoding="utf-8")
-    (GOLDEN / "presets_config.json").write_text(presets_config(), encoding="utf-8")
+        outputs.update(cli_estimates(Path(tmp)))
+    outputs["presets_config.json"] = presets_config()
+    GOLDEN.mkdir(exist_ok=True)
+    for name, text in outputs.items():
+        path = GOLDEN / name
+        if not path.exists():
+            print(f"{name}: new file")
+        else:
+            changes = largest_changes(json.loads(path.read_text(encoding="utf-8")), json.loads(text))
+            moved = ", ".join(f"{field} {change:.2g}" for field, change in sorted(changes.items()) if change)
+            print(f"{name}: largest relative change per field: {moved or 'none'}")
+        path.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from interference_lab.sim import (
     simulate_experiment,
     simulate_outcomes,
 )
+from reference_oracle import simulated_tte
 
 
 def line_graph(degrees, n_ineligible=0, weights=None):
@@ -194,7 +195,7 @@ def test_unknown_edge_endpoint_raises_instead_of_simulating():
     with pytest.raises(ValueError, match="graph has edges referencing unknown units"):
         simulate_outcomes(g, w, p, seed=0)
     with pytest.raises(ValueError, match="graph has edges referencing unknown units"):
-        ground_truth_tte(g, p, T=1, seed=0, n_reps=1)
+        ground_truth_tte(g, p, T=1)
     with pytest.raises(ValueError, match="graph has edges referencing unknown units"):
         g.degrees()
 
@@ -202,13 +203,13 @@ def test_unknown_edge_endpoint_raises_instead_of_simulating():
 def test_ground_truth_zero_when_no_effects():
     g = line_graph([1, 2, 3])
     p = DgpParams(beta=0.0, gamma=0.0, rho=0.0, sigma=0.0, baseline_mean=1.0, baseline_sd=1.0)
-    assert ground_truth_tte(g, p, T=4, seed=0, n_reps=1) == 0.0
+    assert ground_truth_tte(g, p, T=4) == 0.0
 
 
 def test_ground_truth_equals_beta_times_mean_degree():
     g = line_graph([1, 2, 3])
     p = DgpParams(beta=1.5, gamma=0.0, rho=0.0, sigma=0.0, baseline_mean=1.0, baseline_sd=1.0)
-    assert ground_truth_tte(g, p, T=6, seed=0, n_reps=1) == pytest.approx(1.5 * 2.0, abs=1e-12)
+    assert ground_truth_tte(g, p, T=6) == pytest.approx(1.5 * 2.0, abs=1e-12)
 
 
 def test_ground_truth_geometric_accumulation():
@@ -216,19 +217,118 @@ def test_ground_truth_geometric_accumulation():
     rho, beta, T = 0.5, 2.0, 12
     p = DgpParams(beta=beta, gamma=0.0, rho=rho, sigma=0.0, baseline_mean=0.0, baseline_sd=1.0)
     expected = beta * 2.0 * (1 - rho**T) / (1 - rho)
-    assert ground_truth_tte(g, p, T=T, seed=0, n_reps=1) == pytest.approx(expected, abs=1e-9)
+    assert ground_truth_tte(g, p, T=T) == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(beta * 2.0 / (1 - rho), rel=1e-3)  # near equilibrium
 
 
 def test_ground_truth_exact_with_common_random_numbers_and_noise():
     g = line_graph([2, 2])
     p = DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=1.0, baseline_mean=1.0, baseline_sd=1.0)
-    a = ground_truth_tte(g, p, T=5, seed=7, n_reps=2)
-    b = ground_truth_tte(g, p, T=5, seed=7, n_reps=2)
-    assert a == b
+    a = ground_truth_tte(g, p, T=5)
     # noise cancels exactly under common random numbers for a linear recursion
+    assert a == pytest.approx(simulated_tte(g, p, T=5, seed=7, n_reps=2), rel=1e-12)
     p0 = DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.0, baseline_mean=1.0, baseline_sd=1.0)
-    assert a == pytest.approx(ground_truth_tte(g, p0, T=5, seed=7, n_reps=1), abs=1e-10)
+    assert a == ground_truth_tte(g, p0, T=5)
+
+
+def random_oracle_case(seed):
+    """A small random graph and DGP; rho cycles through negative, zero and positive, T includes 1."""
+    rg = np.random.default_rng(seed)
+    n_connected = int(rg.integers(1, 15))
+    gp = GraphParams(
+        n_eligible=int(rg.integers(1, 12)),
+        n_ineligible=int(rg.integers(0, 4)),
+        n_connected=n_connected,
+        avg_degree=float(rg.uniform(0.5, min(3.0, n_connected))),
+        weight_mode=("unit", "lognormal")[seed % 2],
+        weight_sd=0.7,
+    )
+    p = DgpParams(
+        beta=float(rg.normal()),
+        gamma=float(rg.normal(0.0, 2.0)),
+        rho=(-0.6, 0.0, 0.45)[seed % 3],
+        sigma=(0.0, 0.8)[seed % 4 // 2],
+        baseline_mean=float(rg.normal(0.0, 3.0)),
+        baseline_sd=1.0,
+    )
+    return generate_graph(gp, seed=seed), p, 1 + seed % 7
+
+
+def test_closed_form_truth_matches_simulated_reference_on_random_graphs():
+    ineligible = lognormal = 0
+    for seed in range(240):
+        g, p, T = random_oracle_case(seed)
+        ineligible += not g.eligible.all()
+        lognormal += not (g.edge_weight == 1).all()
+        want = simulated_tte(g, p, T, seed=seed, n_reps=1)
+        assert ground_truth_tte(g, p, T) == pytest.approx(want, rel=1e-12, abs=1e-13), seed
+    assert ineligible > 50 and lognormal > 100
+
+
+@pytest.mark.parametrize("T", [1, 2, 7])
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.3])
+def test_closed_form_truth_with_an_edgeless_connected_unit_and_an_ineligible_unit(T, rho):
+    # connected unit 4 has no edges; unit 3 is ineligible but dilutes the spillover on connected unit 3
+    g = BipartiteGraph(
+        treatment_ids=[1, 2, 3],
+        eligible=[True, True, False],
+        connected_ids=[1, 2, 3, 4],
+        edge_treatment=[1, 1, 2, 3],
+        edge_connected=[1, 3, 2, 3],
+        edge_weight=[0.5, 2.0, 1.5, 1.0],
+    )
+    p = DgpParams(beta=1.2, gamma=-0.7, rho=rho, sigma=0.4, baseline_mean=2.0, baseline_sd=1.0)
+    want = simulated_tte(g, p, T, seed=3, n_reps=2)
+    assert ground_truth_tte(g, p, T) == pytest.approx(want, rel=1e-12)
+    growth = sum(rho**k for k in range(T))
+    unit_1 = 0.5 * (1.2 - 0.7) + 2.0 * (1.2 - 0.7 * 0.5)
+    unit_2 = 1.5 * (1.2 - 0.7)
+    assert ground_truth_tte(g, p, T) == pytest.approx(growth * (unit_1 + unit_2) / 2, rel=1e-12)
+
+
+def test_ground_truth_rejects_an_empty_horizon():
+    g = line_graph([1, 2])
+    for T in (0, -3):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            ground_truth_tte(g, DgpParams(beta=1.0), T=T)
+
+
+def unit_targets(g):
+    return np.split(g.edge_connected, np.cumsum(g.degrees().astype(int))[:-1])
+
+
+@pytest.mark.parametrize("n_connected, avg_degree", [(1, 1.0), (3, 3.0), (6, 2.0), (40, 5.0)])
+def test_graph_targets_are_distinct_connected_units(n_connected, avg_degree):
+    gp = GraphParams(n_eligible=60, n_ineligible=15, n_connected=n_connected, avg_degree=avg_degree)
+    for seed in range(5):
+        g = generate_graph(gp, seed=seed)
+        assert np.array_equal(g.edge_treatment, np.repeat(g.treatment_ids, g.degrees().astype(int)))
+        for targets in unit_targets(g):
+            assert 1 <= targets.size <= n_connected
+            assert (np.diff(targets) > 0).all()  # sorted, hence distinct
+            assert 1 <= targets[0] and targets[-1] <= n_connected
+
+
+def test_full_degree_unit_takes_every_connected_unit():
+    g = generate_graph(GraphParams(n_eligible=200, n_connected=4, avg_degree=3.5), seed=8)
+    full = [targets for targets in unit_targets(g) if targets.size == 4]
+    assert len(full) > 10
+    for targets in full:
+        assert targets.tolist() == [1, 2, 3, 4]
+
+
+def test_degree_two_target_pairs_are_uniform():
+    # 15 pairs of 6 connected units; 0.001 upper quantile of chi-square with 14 degrees of freedom
+    gp = GraphParams(n_eligible=50, n_connected=6, avg_degree=2.0)
+    counts = np.zeros((6, 6))
+    for seed in range(100):
+        for targets in unit_targets(generate_graph(gp, seed=seed)):
+            if targets.size == 2:
+                counts[targets[0] - 1, targets[1] - 1] += 1
+    observed = counts[np.triu_indices(6, k=1)]
+    expected = observed.sum() / 15
+    assert observed.sum() > 1000
+    assert ((observed - expected) ** 2 / expected).sum() < 36.12
 
 
 def test_simulate_experiment_produces_valid_dataset():
