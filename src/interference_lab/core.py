@@ -265,11 +265,6 @@ class AllocationScenario(enum.Enum):
     ALL_TREATED = "all_treated"
     ALL_CONTROL = "all_control"
 
-    def expand(self, n_units: int, n_periods: int) -> TreatmentPanel:
-        """Constant 0/1 assignment panel over the eligible units."""
-        fill = 1 if self is AllocationScenario.ALL_TREATED else 0
-        return TreatmentPanel(np.full((n_units, n_periods), fill, dtype=np.int8), design_tag="fixed")
-
 
 @dataclass(frozen=True)
 class EffectEstimate:

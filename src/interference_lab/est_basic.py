@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, bootstrap_estimate
-from .regress import LearnerConfig, cv_lambdas, fit_learner, predict, weighted_ridge
+from .regress import LearnerConfig, cv_lambdas, fit_learner, predict, ridge_rows, weighted_ridge
 from .rng import child_seed
 
 
@@ -33,6 +33,18 @@ def _has_variation(rows: np.ndarray) -> bool:
     return len(rows) > 0 and bool((rows != rows[0]).any())
 
 
+def _varies_on(z: np.ndarray):
+    """The redraw rule `valid(counts)` for rows z: whether a count row draws units of two or more
+    distinct rows of z, as `_has_variation(z[counts > 0])` decides, without gathering the rows."""
+    z_class = np.unique(z, axis=0, return_inverse=True)[1]
+    n_classes = int(z_class.max()) + 1
+
+    def valid(counts) -> bool:
+        return np.count_nonzero(np.bincount(z_class, weights=counts, minlength=n_classes)) > 1
+
+    return valid
+
+
 def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delta: np.ndarray,
                       z_treated: np.ndarray, learner: LearnerConfig, bootstrap: BootstrapConfig) -> EffectEstimate:
     """Mean predicted delta with the treatment columns at their all-treated values minus at zero.
@@ -40,16 +52,13 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
     `design` is [treatment columns z, covariates] and `z_treated` holds z's all-treated values.
     The point uses the fitted `model`; each bootstrap draw refits delta on the resampled design
     rows, redrawing until z varies on the resample. A ridge model's contrast is linear in its
-    z coefficients, so every draw of a chunk is fit at once from count-weighted cross-products;
-    kernel ridge refits each draw on its resampled rows.
+    z coefficients, so every draw of a chunk is fit at once by weighting cross-product rows built
+    once per estimate; kernel ridge refits each draw on its resampled rows.
     """
     n, k = design.shape[0], z_treated.shape[1]
     units = np.arange(n)
     multi_grid = len(learner.lambda_grid) > 1
-
-    def valid(counts) -> bool:
-        return _has_variation(design[counts > 0, :k])
-
+    valid = _varies_on(design[:, :k])
     if learner.kind == "kernel_ridge":
         design_1 = np.hstack([z_treated, design[:, k:]])
         design_0 = np.hstack([np.zeros_like(z_treated), design[:, k:]])
@@ -67,6 +76,8 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
 
         point = contrast(model, units)
     else:
+        rows = ridge_rows(design, delta, learner.center)
+
         def contrast(counts, coef) -> np.ndarray:
             z_mean = np.einsum("bi,ij->bj", counts, z_treated) / n
             return np.einsum("bj,bj->b", z_mean, coef[:, :k])
@@ -77,7 +88,7 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
                 idx = np.repeat(np.tile(units, len(counts)), counts.ravel()).reshape(counts.shape)
                 seeds = [child_seed(bootstrap.seed, "boot-fit", b) for b in draws]
                 lams = cv_lambdas(design[idx], delta[idx], learner, seeds)[:, None]
-            coef, _ = weighted_ridge(design, delta, counts, lams, learner.center)
+            coef, _ = weighted_ridge(rows, counts, lams)
             return contrast(counts, coef[:, 0])
 
         point = float(contrast(np.ones((1, n)), model.coefficients[None])[0])

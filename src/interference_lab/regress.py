@@ -11,6 +11,7 @@ and kernel ridge solves (K + lam * I) alpha = y on the raw Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,23 +96,47 @@ def ridge_fit(X, y, lam: float, center: bool = True) -> RidgeModel:
     return RidgeModel(coefficients=coef, intercept=float(intercept), lam=float(lam))
 
 
-def weighted_ridge(X, y, w, lams, center: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted ridge fits of y on X: coefficients (..., W, L, d) and intercepts (..., W, L).
+class RidgeRows(NamedTuple):
+    """The weight-free part of `weighted_ridge` for rows X (..., n, d), y (..., n).
 
-    X (..., n, d) and y (..., n) hold the rows; w (..., W, n) holds one nonnegative weight row per fit (a
-    bootstrap count row, a fold's training indicator); `lams` broadcasts against (..., W, L). Each fit is
-    `ridge_fit` on the rows repeated by their weights, centered on the weighted means when `center`.
-    The weighted cross-products are einsum sums over rows of data shifted by the row means, so a sum over
-    units never goes to a (multithreaded) BLAS call and no weighted copy of the rows is built.
+    `sx` (..., d) and `sy` (...) are the row means (zeros unless `center`), and `outer` (..., n, (d+2)²)
+    holds each row's outer product of [1, x - sx, y - sy]. Every array is read-only, so one set serves
+    every weight row of a bootstrap.
     """
-    X = np.asarray(X, dtype=float)
+
+    X: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+    outer: np.ndarray
+    center: bool
+
+
+def ridge_rows(X, y, center: bool = True) -> RidgeRows:
+    """Prepare rows X (..., n, d), y (..., n) for any number of `weighted_ridge` calls."""
+    X = np.asarray(X, dtype=float).view()  # a view: marking it read-only leaves the caller's array writable
     y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
     d = X.shape[-1]
     sx = X.mean(axis=-2) if center else np.zeros(X.shape[:-2] + (d,))
-    sy = y.mean(axis=-1) if center else np.zeros(y.shape[:-1])
+    sy = np.asarray(y.mean(axis=-1)) if center else np.zeros(y.shape[:-1])
     a = np.concatenate([np.ones(y.shape + (1,)), X - sx[..., None, :], (y - sy[..., None])[..., None]], axis=-1)
     outer = (a[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (-1,))
+    for arr in (X, sx, sy, outer):
+        arr.setflags(write=False)
+    return RidgeRows(X, sx, sy, outer, center)
+
+
+def weighted_ridge(rows: RidgeRows, w, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted ridge fits of the prepared `rows`: coefficients (..., W, L, d) and intercepts (..., W, L).
+
+    w (..., W, n) holds one nonnegative weight row per fit (a bootstrap count row, a fold's training
+    indicator); `lams` broadcasts against (..., W, L). Each fit is `ridge_fit` on the rows repeated by their
+    weights, centered on the weighted means when `rows.center`.
+    The weighted cross-products are einsum sums over the prepared outer products, so a sum over units never
+    goes to a (multithreaded) BLAS call and no weighted copy of the rows is built.
+    """
+    X, sx, sy, outer, center = rows
+    w = np.asarray(w, dtype=float)
+    d = X.shape[-1]
     M = np.einsum("...wi,...ij->...wj", w, outer)
     M = M.reshape(M.shape[:-1] + (d + 2, d + 2))
     A, r = M[..., 1:-1, 1:-1], M[..., 1:-1, -1]
@@ -274,7 +299,7 @@ def _ridge_cv_errors(X, y, grid: list[float], folds: np.ndarray, k_folds: int, c
         raise ValueError("lam must be nonnegative")
     X = np.asarray(X, dtype=float)
     test = folds[..., None, :] == np.arange(k_folds)[:, None]  # (..., k, n) fold indicators
-    coef, intercept = weighted_ridge(X, y, ~test, np.asarray(grid), center)  # (..., k, L, d), (..., k, L)
+    coef, intercept = weighted_ridge(ridge_rows(X, y, center), ~test, np.asarray(grid))  # (..., k, L, d), (..., k, L)
     # each row predicted by the models of the fold that holds it out
     held_out_coef = np.take_along_axis(coef, folds[..., None, None], axis=-3)
     held_out_intercept = np.take_along_axis(intercept, folds[..., None], axis=-2)

@@ -8,17 +8,23 @@ units, and takes the difference; replicates are averaged.
 
 import numpy as np
 
-from interference_lab.core import AllocationScenario, BipartiteGraph
+from interference_lab.core import AllocationScenario, BipartiteGraph, TreatmentPanel
 from interference_lab.rng import child_seed
 from interference_lab.sim import DgpParams, simulate_outcomes
+
+
+def constant_panel(allocation: AllocationScenario, n_units: int, n_periods: int) -> TreatmentPanel:
+    """Constant 0/1 assignment panel over the eligible units under `allocation`."""
+    fill = 1 if allocation is AllocationScenario.ALL_TREATED else 0
+    return TreatmentPanel(np.full((n_units, n_periods), fill, dtype=np.int8), design_tag="fixed")
 
 
 def simulated_tte(g: BipartiteGraph, p: DgpParams, T: int, seed: int, n_reps: int) -> float:
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     n_elig = int(g.eligible.sum())
-    treated = AllocationScenario.ALL_TREATED.expand(n_elig, T)
-    control = AllocationScenario.ALL_CONTROL.expand(n_elig, T)
+    treated = constant_panel(AllocationScenario.ALL_TREATED, n_elig, T)
+    control = constant_panel(AllocationScenario.ALL_CONTROL, n_elig, T)
     diffs = np.empty(n_reps)
     for r in range(n_reps):
         rep_seed = child_seed(seed, "truth-rep", r)

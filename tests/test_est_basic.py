@@ -10,7 +10,7 @@ from interference_lab.core import (
     TreatmentPanel,
     UnitCovariates,
 )
-from interference_lab.est_basic import _pre_post_arrays, estimate_basic
+from interference_lab.est_basic import _has_variation, _pre_post_arrays, _varies_on, estimate_basic
 from interference_lab.regress import LearnerConfig
 from interference_lab.sim import (
     DgpParams,
@@ -124,6 +124,36 @@ def test_bootstrap_is_deterministic():
     assert a == b
     c = estimate_basic(d, learner=OLS, bootstrap=BootstrapConfig(40, seed=10))
     assert (a.ci_low, a.ci_high) != (c.ci_low, c.ci_high)
+
+
+def redraw_designs(rng, n=12):
+    """(design, k) pairs: treatment columns z = design[:, :k] with tied rows, then covariates that vary."""
+    x = rng.normal(size=(n, 2))
+    signed_zero = rng.choice([0.0, -0.0, 1.0], size=(n, 1))
+    yield np.hstack([rng.integers(0, 2, size=(n, 1)).astype(float), x]), 1
+    yield np.hstack([rng.integers(0, 3, size=(n, 2)).astype(float), x]), 2
+    yield np.hstack([signed_zero, x]), 1
+    yield np.hstack([signed_zero, np.full((n, 1), 2.0), x]), 2
+    yield np.hstack([rng.choice([0.0, -0.0], size=(n, 1)), x]), 1  # one class: no draw is valid
+    yield np.hstack([np.repeat([[1.0, 4.0], [2.0, 4.0]], [n - 1, 1], axis=0), x]), 2  # one unit alone
+
+
+def test_redraw_rule_agrees_with_gathering_the_drawn_rows():
+    rng = np.random.default_rng(17)
+    seen = []
+    for design, k in redraw_designs(rng):
+        valid = _varies_on(design[:, :k])
+        n = len(design)
+        z_class = np.unique(design[:, :k], axis=0, return_inverse=True)[1]
+        rows = [np.bincount(rng.integers(0, n, size=rng.integers(1, n + 1)), minlength=n) for _ in range(200)]
+        rows += [np.eye(n, dtype=np.int64)[i] for i in range(n)]  # a single drawn unit
+        for c in np.unique(z_class):  # every draw in one class
+            rows.append(np.where(z_class == c, rng.integers(1, 4, size=n), 0))
+        for counts in rows:
+            got = valid(counts)
+            assert got == _has_variation(design[counts > 0, :k])
+            seen.append(got)
+    assert len(seen) >= 1000 and 0 < sum(seen) < len(seen)
 
 
 SMALL_GRAPH = GraphParams(n_eligible=120, n_ineligible=20, n_connected=200, avg_degree=2.5)

@@ -15,6 +15,8 @@ from interference_lab.regress import (
     median_bandwidth,
     predict,
     ridge_fit,
+    ridge_rows,
+    weighted_ridge,
 )
 
 
@@ -268,3 +270,66 @@ def test_batched_cross_validate_rank_deficient_lam_zero():
     assert cross_validate(X, y, [0.1, 1.0], k_folds=4, seed=1) in (0.1, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         cross_validate(X, y, [-1.0, 1.0], k_folds=4, seed=1)
+
+
+def weighted_problem(batch, seed=0, n=30, d=3, n_weights=5):
+    """Rows X (*batch, n, d), y (*batch, n) and count-like weights (*batch, n_weights, n); the first weight
+    row is zero on a third of the units."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=batch + (n, d)) * rng.uniform(0.1, 10.0, size=d)
+    y = X @ rng.normal(size=d) + rng.normal(size=batch + (n,))
+    w = rng.integers(0, 4, size=batch + (n_weights, n))
+    w[..., 0, : n // 3] = 0
+    return X, y, w
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("center", [True, False])
+def test_weighted_ridge_fits_a_stack_of_weight_rows_as_each_row_alone(center, batch):
+    X, y, w = weighted_problem(batch)
+    rows = ridge_rows(X, y, center)
+    lams = np.array([1e-3, 1.0, 30.0])
+    coef, intercept = weighted_ridge(rows, w, lams)
+    assert coef.shape == batch + (w.shape[-2], 3, X.shape[-1]) and intercept.shape == coef.shape[:-1]
+    for i in range(w.shape[-2]):
+        one_coef, one_intercept = weighted_ridge(rows, w[..., i:i + 1, :], lams)
+        np.testing.assert_array_equal(coef[..., i:i + 1, :, :], one_coef)
+        np.testing.assert_array_equal(intercept[..., i:i + 1, :], one_intercept)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("center", [True, False])
+def test_prepared_rows_reused_over_weight_chunks_equal_fresh_ones(center, batch):
+    X, y, w = weighted_problem(batch, seed=1, n_weights=6)
+    rows = ridge_rows(X, y, center)
+    for chunk in np.split(w, [1, 4], axis=-2):
+        for lams in (0.5, np.array([[0.0], [1e-6], [2.0]])[: chunk.shape[-2]]):
+            got = weighted_ridge(rows, chunk, lams)
+            want = weighted_ridge(ridge_rows(X.copy(), y.copy(), center), chunk, lams)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_weighted_ridge_at_lam_zero_rejects_a_rank_deficient_resample():
+    X, y, w = weighted_problem((), seed=2)
+    X[:10, 1] = 2.0 * X[:10, 0]  # collinear on the units the first weight row draws, not on the rest
+    w[0, :10], w[0, 10:] = 1, 0
+    for center in (True, False):
+        rows = ridge_rows(X, y, center)
+        weighted_ridge(rows, w[1:], 0.0)
+        weighted_ridge(rows, w, 0.1)
+        with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+            weighted_ridge(rows, w, 0.0)
+    X[:10, 1] = 5.0  # constant on the resample: singular only once centered
+    with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+        weighted_ridge(ridge_rows(X, y, True), w[:1], 0.0)
+    weighted_ridge(ridge_rows(X, y, False), w[:1], 0.0)
+
+
+def test_prepared_rows_are_read_only_and_leave_the_inputs_writable():
+    X, y, _ = weighted_problem(())
+    rows = ridge_rows(X, y)
+    for arr in (rows.X, rows.sx, rows.sy, rows.outer):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    X[0, 0] = y[0] = 1.0
