@@ -13,12 +13,16 @@ observed values, so only the mean path is propagated.
 
 Every step works on a batch of count rows (how often each unit is drawn):
 the estimate is the batch of one all-ones row, and the bootstrap scores a
-chunk of resamples at once, with the same floating-point operations per
-resample as a fit of that resample alone.
+chunk of resamples at once. A resample's moments are count-weighted sums of
+rows built once per estimate, the powers of each outcome's deviation from its
+period's full-sample mean, so no resample is gathered; only the subpopulations
+pooled on short panels reduce their gathered outcome rows. Each draw's
+features, fit and recursion are the same whichever chunk holds it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +72,20 @@ class StateFeatures:
 
 @dataclass(frozen=True, eq=False)
 class _Panel:
-    """A dataset's outcome rows (T+1, n) and 0/1 treatment rows (T, n) by period, with what the deal reads."""
+    """A dataset's outcome rows (T+1, n) and 0/1 treatment rows (T, n) by period, with what the deal reads.
+
+    `period_means` holds each period's full-sample mean ȳ and `sum_rows` the read-only ((order + 1) * (T + 1), n)
+    block that the full-resample moments weight by counts: the powers (y - ȳ)^k for k = 1..order, then the
+    treatment rows zero-padded to T + 1.
+    """
 
     outcomes: np.ndarray
     treatments: np.ndarray
     moment_order: int
     baseline_order: np.ndarray
     stage: np.ndarray
+    period_means: np.ndarray
+    sum_rows: np.ndarray
 
     @property
     def n_periods(self) -> int:
@@ -87,18 +98,61 @@ def _panel(d: ExperimentDataset, moment_order: int) -> _Panel:
     T = d.n_periods
     if T < 2:
         raise ValueError(f"need at least 2 transitions, got T={T}")
+    outcomes = np.ascontiguousarray(d.outcomes.outcomes.T)
+    treatments = np.ascontiguousarray(d.treatments.assignments.T)
+    period_means = outcomes.mean(axis=1)
+    sum_rows = np.zeros((moment_order + 1, T + 1, d.n_units))
+    np.subtract(outcomes, period_means[:, None], out=sum_rows[0])
+    for k in range(1, moment_order):
+        np.multiply(sum_rows[k - 1], sum_rows[0], out=sum_rows[k])
+    sum_rows[-1, :T] = treatments
+    sum_rows = sum_rows.reshape(-1, d.n_units)
+    sum_rows.setflags(write=False)
     return _Panel(
-        outcomes=np.ascontiguousarray(d.outcomes.outcomes.T),
-        treatments=np.ascontiguousarray(d.treatments.assignments.T),
+        outcomes=outcomes,
+        treatments=treatments,
         moment_order=moment_order,
         baseline_order=np.argsort(d.outcomes.outcomes[:, 0], kind="stable"),
         stage=_adoption_stage(d.treatments.assignments),
+        period_means=period_means,
+        sum_rows=sum_rows,
     )
 
 
+def _feature_rows(moments: np.ndarray, p_next: np.ndarray):
+    """(table, targets, baseline mean, final moments) of each group from its per-period moments
+    (G, T + 1, order) and next-period treated fractions (G, T)."""
+    means = moments[..., 0]
+    table = np.concatenate([moments[:, :-1], p_next[..., None], (means[:, :-1] * p_next)[..., None]], axis=-1)
+    return table, means[:, 1:], means[:, 0], moments[:, -1]
+
+
+def _count_features(panel: _Panel, counts: np.ndarray):
+    """`_feature_rows` of each count row's full resample (m, n), without building the resample.
+
+    One einsum weights the panel's `sum_rows` by the counts: per period the power sums r_k, the count-weighted
+    mean of (y - ȳ)^k, and the treated fraction. The mean is ȳ + r_1 and the central moments are the binomial
+    expansion about that shift, E[(y - ȳ - r_1)^k] = Σ_j C(k, j) r_j (-r_1)^(k-j) with r_0 = 1; an even one
+    that rounds below 0 (a resample with no spread in a period) is 0. A row's values do not depend on the
+    other rows.
+    """
+    m, n = counts.shape
+    sums = np.einsum("gn,jn->gj", counts.astype(float), panel.sum_rows).reshape(m, panel.moment_order + 1, -1) / n
+    r = sums[:, :-1].swapaxes(1, 2)  # (m, T + 1, order): r_1..r_order
+    minus_r1 = -r[..., 0]
+    moments = np.empty_like(r)
+    moments[..., 0] = panel.period_means - minus_r1
+    for k in range(2, panel.moment_order + 1):
+        central = minus_r1**k
+        for j in range(1, k + 1):
+            central = central + math.comb(k, j) * r[..., j - 1] * minus_r1 ** (k - j)
+        moments[..., k - 1] = np.maximum(central, 0.0) if k % 2 == 0 else central
+    return _feature_rows(moments, sums[:, -1, :-1])
+
+
 def _group_features(panel: _Panel, rows: np.ndarray):
-    """(table, targets, baseline mean, final moments) of each group of units `rows` (G, L): a resample, or
-    one subpopulation of it, with its units in row order.
+    """`_feature_rows` of each group of units `rows` (G, L): a subpopulation of a resample, with its units in
+    row order.
 
     Per period, the moments are the mean and the central moments 2..order of the group's outcomes, each
     reduced along the group's own contiguous row, in blocks of groups of about CHUNK_BYTES.
@@ -117,15 +171,13 @@ def _group_features(panel: _Panel, rows: np.ndarray):
             stats.extend((centered**k).mean(axis=-1) for k in range(2, panel.moment_order + 1))
         moments[lo:lo + block] = np.stack(stats, axis=-1).swapaxes(0, 1)
         p_next[lo:lo + block] = panel.treatments.take(group, axis=1).sum(axis=-1).T / L
-    means = moments[..., 0]
-    table = np.concatenate([moments[:, :-1], p_next[..., None], (means[:, :-1] * p_next)[..., None]], axis=-1)
-    return table, means[:, 1:], means[:, 0], moments[:, -1]
+    return _feature_rows(moments, p_next)
 
 
 def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures:
     """Summary-statistic rows for every transition; reads panels only, never the graph."""
     panel = _panel(d, moment_order)
-    table, targets, baseline, final = _group_features(panel, np.arange(d.n_units)[None])
+    table, targets, baseline, final = _count_features(panel, np.ones((1, d.n_units)))
     return StateFeatures(
         table=table[0], targets=targets[0], baseline_mean=float(baseline[0]), final_moments=final[0],
         transition_index=np.arange(panel.n_periods),
@@ -357,16 +409,14 @@ def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, see
     across subpopulations would leak into the carryover coefficient.
     """
     m, n = counts.shape
-    resample = np.repeat(np.tile(np.arange(n), m), counts.ravel()).reshape(m, n)  # each row sorted
-    table, targets, baseline, final = _group_features(panel, resample)
-    del resample
+    table, targets, baseline, final = _count_features(panel, counts)
     T, k = panel.n_periods, config.n_subpopulations
     if T >= 3 * (table.shape[-1] + 1) and config.time_homogeneous:
         return table, targets, baseline, final, np.arange(T)
     _check_partition(n, k)
     starts = [_deal_start(seed, k) for seed in seeds("partition")]
     units, labels = _deal(counts, panel.baseline_order, panel.stage, starts, k)
-    # Each subpopulation's units in row order: sorted, as the resample's rows are.
+    # Each subpopulation's units in row order: sorted.
     members = np.sort(labels * n + units, axis=1) % n
     sizes = np.bincount((np.arange(m)[:, None] * k + labels).ravel(), minlength=m * k).reshape(m, k)
     first = np.cumsum(sizes, axis=1) - sizes

@@ -4,8 +4,12 @@ Kept as the reference the engine is checked against: same point, same
 interval ends within rounding, and the same error for the same failing
 input. Every draw is a sorted index resample; the estimator is refit on the
 resampled rows, with the per-dataset ridge, cross-validation, moment,
-partition and recursion code the estimators ran before. Kernel ridge, fold
-assignment, exposures and pre/post arrays come from the package unchanged.
+partition and recursion code the estimators ran before. cmp's full-resample
+moments are the exception: they follow the package's count-weighted
+definition, computed per draw from that draw's count row over the dataset's
+rows (`count_features`), while its subpopulation moments reduce each
+subpopulation's own rows. Kernel ridge, fold assignment, exposures and
+pre/post arrays come from the package unchanged.
 """
 
 from __future__ import annotations
@@ -176,6 +180,7 @@ def estimate_network(d, learner, bootstrap, weighted_exposures=False, all_units_
 
 
 def build_features(d, moment_order) -> StateFeatures:
+    """The moments of the dataset's own rows: what each subpopulation's transition rows are built from."""
     T = d.n_periods
     if T < 2:
         raise ValueError(f"need at least 2 transitions, got T={T}")
@@ -186,10 +191,45 @@ def build_features(d, moment_order) -> StateFeatures:
     if moment_order >= 2:
         centered = by_period - means[:, None]
         moments.extend((centered**k).mean(axis=1) for k in range(2, moment_order + 1))
-    moment_rows = np.column_stack(moments)
-    table = np.column_stack([moment_rows[:-1], p[1:], means[:-1] * p[1:]])
+    return _features(np.column_stack(moments), p[1:])
+
+
+def count_features(d, counts, moment_order) -> StateFeatures:
+    """The moments of the resample that draws unit i `counts[i]` times, as count-weighted sums over d's rows.
+
+    Per period, r_k is the count-weighted mean of (y - ybar)^k about d's own mean ybar; the resample's mean
+    is ybar + r_1 and its k-th central moment sum_j C(k, j) r_j (-r_1)^(k-j), with r_0 = 1, an even one held
+    at 0 or above.
+    """
+    T, n = d.n_periods, d.n_units
+    if T < 2:
+        raise ValueError(f"need at least 2 transitions, got T={T}")
+    by_period = np.ascontiguousarray(d.outcomes.outcomes.T)
+    ybar = by_period.mean(axis=1)
+    w = counts.astype(float)[None]
+
+    def weighted_mean(rows):
+        return np.einsum("gn,jn->gj", w, rows)[0] / n
+
+    deviation = by_period - ybar[:, None]
+    power = deviation
+    r = [np.ones(T + 1), weighted_mean(power)]
+    for _ in range(2, moment_order + 1):
+        power = power * deviation
+        r.append(weighted_mean(power))
+    moments = [ybar + r[1]]
+    for k in range(2, moment_order + 1):
+        central = sum(math.comb(k, j) * r[j] * (-r[1]) ** (k - j) for j in range(k + 1))
+        moments.append(np.maximum(central, 0.0) if k % 2 == 0 else central)
+    treated = weighted_mean(np.ascontiguousarray(d.treatments.assignments.T))
+    return _features(np.column_stack(moments), treated)
+
+
+def _features(moment_rows, p_next) -> StateFeatures:
+    means = moment_rows[:, 0]
+    table = np.column_stack([moment_rows[:-1], p_next, means[:-1] * p_next])
     return StateFeatures(table=table, targets=means[1:], baseline_mean=float(means[0]),
-                         final_moments=moment_rows[-1], transition_index=np.arange(T))
+                         final_moments=moment_rows[-1], transition_index=np.arange(len(p_next)))
 
 
 def network_bootstrap(d, n_subpopulations, seed):
@@ -251,12 +291,12 @@ def counterfactual_evolution(model, baseline_mean, allocation, T) -> np.ndarray:
     return np.array(means)
 
 
-def _training_features(d, config, partition_seed) -> StateFeatures:
-    full = build_features(d, config.moment_order)
+def _training_features(d, rows, config, partition_seed) -> StateFeatures:
+    full = count_features(d, np.bincount(rows, minlength=d.n_units), config.moment_order)
     if len(full.table) >= 3 * (full.table.shape[1] + 1) and config.time_homogeneous:
         return full
     parts = [build_features(s, config.moment_order)
-             for s in network_bootstrap(d, config.n_subpopulations, partition_seed)]
+             for s in network_bootstrap(subset_dataset(d, rows), config.n_subpopulations, partition_seed)]
     return StateFeatures(
         table=np.vstack([p.table for p in parts]),
         targets=np.concatenate([p.targets for p in parts]),
@@ -266,8 +306,9 @@ def _training_features(d, config, partition_seed) -> StateFeatures:
     )
 
 
-def _cmp_point(d, config, partition_seed, fit_seed) -> float:
-    features = _training_features(d, config, partition_seed)
+def _cmp_point(d, rows, config, partition_seed, fit_seed) -> float:
+    """The cmp contrast of the resample `rows` (sorted unit indices) of d."""
+    features = _training_features(d, rows, config, partition_seed)
     model = fit_state_evolution(features, config.learner, fit_seed, config.time_homogeneous)
     T = d.n_periods
     treated = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
@@ -276,10 +317,11 @@ def _cmp_point(d, config, partition_seed, fit_seed) -> float:
 
 
 def estimate_tte_cmp(d, config, bootstrap) -> EffectEstimate:
-    point = _cmp_point(d, config, child_seed(config.seed, "partition"), child_seed(config.seed, "fit"))
+    point = _cmp_point(d, np.arange(d.n_units), config, child_seed(config.seed, "partition"),
+                       child_seed(config.seed, "fit"))
 
     def resampled_point(rows, b) -> float:
-        return _cmp_point(subset_dataset(d, rows), config, child_seed(bootstrap.seed, "partition", b),
+        return _cmp_point(d, rows, config, child_seed(bootstrap.seed, "partition", b),
                           child_seed(bootstrap.seed, "fit", b))
 
     return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, resampled_point)

@@ -16,6 +16,8 @@ from interference_lab.est_cmp import (
     CmpConfig,
     StateEvolutionModel,
     StateFeatures,
+    _count_features,
+    _panel,
     build_features,
     counterfactual_evolution,
     estimate_tte_cmp,
@@ -484,6 +486,28 @@ def test_build_features_matches_per_period_moments(order):
     np.testing.assert_allclose(f.final_moments, rows[-1], rtol=1e-12)
     np.testing.assert_allclose(f.targets, rows[1:, 0], rtol=1e-12)
     assert f.baseline_mean == pytest.approx(rows[0, 0], rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_build_features_is_the_estimates_all_ones_row(order):
+    """The point fit's features are the all-ones count row's, bit for bit, also as the middle row of a chunk."""
+    d = simulate_experiment(
+        GraphParams(n_eligible=90, n_connected=120, avg_degree=2.0),
+        DgpParams(beta=1.0, gamma=0.5, rho=0.3, sigma=0.5, baseline_mean=4.0, baseline_sd=2.0),
+        RolloutParams((1, 3), (0.3, 0.6)),
+        T=20,
+        seed=90 + order,
+    )
+    n = d.n_units
+    rng = np.random.default_rng(order)
+    counts = np.stack([np.bincount(rng.integers(0, n, n), minlength=n), np.ones(n, dtype=np.int64),
+                       np.bincount(rng.integers(0, n, n), minlength=n)])
+    table, targets, baseline, final = _count_features(_panel(d, order), counts)
+    f = build_features(d, order)
+    np.testing.assert_array_equal(f.table, table[1])
+    np.testing.assert_array_equal(f.targets, targets[1])
+    np.testing.assert_array_equal(f.final_moments, final[1])
+    assert f.baseline_mean == baseline[1]
 
 
 def loop_evolution(model, baseline_mean, p, T):
