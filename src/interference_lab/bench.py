@@ -42,12 +42,10 @@ class NetworkSettings:
     learner: LearnerConfig = LearnerConfig()
     n_bootstrap: int = 500
     weighted_exposures: bool = False
-    all_units_treated: bool = False
 
     def __post_init__(self):
         BootstrapConfig(self.n_bootstrap)
         check_flag("weighted_exposures", self.weighted_exposures)
-        check_flag("all_units_treated", self.all_units_treated)
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class CmpSettings:
     n_bootstrap: int = 500
     moment_order: int = 2
     n_subpopulations: int = 10
-    time_homogeneous: bool = True
 
     def __post_init__(self):
         BootstrapConfig(self.n_bootstrap)
@@ -68,7 +65,6 @@ class CmpSettings:
             moment_order=self.moment_order,
             n_subpopulations=self.n_subpopulations,
             learner=self.learner,
-            time_homogeneous=self.time_homogeneous,
             seed=seed,
         )
 
@@ -126,6 +122,9 @@ def _build(cls, obj: dict, context: str):
 def settings_from_dict(block: str, obj: dict):
     """Settings for one `estimators.<block>` object; absent keys take the defaults."""
     obj = dict(_require_object(obj, f"{block} settings"))
+    unknown = set(obj) - {f.name for f in fields(ESTIMATOR_BLOCKS[block])}
+    if unknown:
+        raise ValueError(f"unknown {block} settings keys: {sorted(unknown)}")
     if "learner" in obj:
         obj["learner"] = LearnerConfig.from_dict(obj["learner"])
     return _build(ESTIMATOR_BLOCKS[block], obj, f"{block} settings")
@@ -188,7 +187,6 @@ def run_method(block: str, dataset: ExperimentDataset, settings, seed: int) -> t
             learner=settings.learner,
             bootstrap=BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "network")),
             weighted_exposures=settings.weighted_exposures,
-            all_units_treated=settings.all_units_treated,
             seed=child_seed(seed, "network-fit"),
         )
     boot = BootstrapConfig(settings.n_bootstrap, seed=child_seed(seed, "cmp-boot"))
@@ -300,7 +298,7 @@ def _aggregate(cfg: ScenarioConfig, records: list[dict]) -> dict:
         },
         "metadata": {
             "treated_classification": "final_period",
-            "counterfactual_allocation": "all_units" if cfg.network.all_units_treated else "eligible_only",
+            "counterfactual_allocation": "eligible_only",
         },
         "replicates": records,
     }

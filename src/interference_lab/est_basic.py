@@ -87,7 +87,7 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
             if multi_grid:
                 idx = np.repeat(np.tile(units, len(counts)), counts.ravel()).reshape(counts.shape)
                 seeds = [child_seed(bootstrap.seed, "boot-fit", b) for b in draws]
-                lams = cv_lambdas(design[idx], delta[idx], learner, seeds)[:, None]
+                lams = cv_lambdas(ridge_rows(design[idx], delta[idx], learner.center), learner, seeds)[:, None]
             coef, _ = weighted_ridge(rows, counts, lams)
             return contrast(counts, coef[:, 0])
 

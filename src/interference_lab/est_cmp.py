@@ -4,12 +4,13 @@ bootstrap. Uses outcome and treatment panels only; the dataset's graph field
 is never read, so results are identical whether a graph is present, absent,
 or replaced.
 
-The state-evolution model maps population summary statistics at period t
-(mean, central moments up to the configured order, next-period treated
-fraction, and a centered mean-by-treatment interaction) to the mean outcome
-at t+1. Counterfactual trajectories recurse that map with the treated
-fraction pinned at 1 or 0; higher-moment features are held at the last
-observed values, so only the mean path is propagated.
+The state-evolution model is one map, shared by every transition, from
+population summary statistics at period t (mean, central moments up to the
+configured order, next-period treated fraction, and a centered
+mean-by-treatment interaction) to the mean outcome at t+1. Counterfactual
+trajectories recurse that map with the treated fraction pinned at 1 or 0;
+higher-moment features are held at the last observed values, so only the
+mean path is propagated.
 
 Every step works on a batch of count rows (how often each unit is drawn):
 the estimate is the batch of one all-ones row, and the bootstrap scores a
@@ -23,7 +24,7 @@ features, fit and recursion are the same whichever chunk holds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -38,9 +39,8 @@ from .core import (
     UnitCovariates,
     bootstrap_estimate,
     check_count,
-    check_flag,
 )
-from .regress import DegenerateDesignError, LearnerConfig, RidgeModel, cv_lambdas, ridge_solve
+from .regress import LearnerConfig, RidgeModel, cv_lambdas, ridge_rows, weighted_ridge
 from .rng import child_seed, substream
 
 N_BASELINE_BINS = 4
@@ -48,26 +48,18 @@ N_BASELINE_BINS = 4
 
 @dataclass(frozen=True, eq=False)
 class StateFeatures:
-    """One row per transition t -> t+1 over the observed panel.
-
-    `transition_index` records which transition a row describes, so that
-    tables pooled across subpopulations can still be fit per period.
-    """
+    """One row per transition t -> t+1 over the observed panel."""
 
     table: np.ndarray
     targets: np.ndarray
     baseline_mean: float
     final_moments: np.ndarray
-    transition_index: np.ndarray
 
     def __post_init__(self):
         for name in ("table", "targets", "final_moments"):
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        idx = np.array(self.transition_index, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "transition_index", idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +170,7 @@ def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures
     """Summary-statistic rows for every transition; reads panels only, never the graph."""
     panel = _panel(d, moment_order)
     table, targets, baseline, final = _count_features(panel, np.ones((1, d.n_units)))
-    return StateFeatures(
-        table=table[0], targets=targets[0], baseline_mean=float(baseline[0]), final_moments=final[0],
-        transition_index=np.arange(panel.n_periods),
-    )
+    return StateFeatures(table=table[0], targets=targets[0], baseline_mean=float(baseline[0]), final_moments=final[0])
 
 
 def check_ridge_learner(learner: LearnerConfig) -> None:
@@ -192,16 +181,11 @@ def check_ridge_learner(learner: LearnerConfig) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StateEvolutionModel:
-    """Fitted one-step map from state features to the next-period mean outcome.
-
-    Time-homogeneous by default (one map shared by every transition); with
-    `period_models` set, each transition index carries its own map.
-    """
+    """Fitted one-step map from state features to the next-period mean outcome, shared by every transition."""
 
     model: RidgeModel
     interaction_center: float
     context_moments: np.ndarray
-    period_models: tuple[RidgeModel, ...] | None = None
 
     def __post_init__(self):
         a = np.array(self.context_moments, dtype=float)
@@ -209,88 +193,60 @@ class StateEvolutionModel:
         object.__setattr__(self, "context_moments", a)
 
 
-def _fit_maps(table, targets, center, transition_index, learner: LearnerConfig, seeds, time_homogeneous: bool):
-    """Each problem's state-evolution fit: pooled map (coefficients (m, 1, d), intercepts (m, 1)), per-period
-    maps ((m, T, d), (m, T)) or None, and lam (m,). Tables (m, r, d); `seeds()` gives the CV seeds."""
+def _fit_maps(table, targets, center, learner: LearnerConfig, seeds):
+    """Each problem's state-evolution map: coefficients (m, d), intercepts (m,) and lam (m,), from tables
+    (m, r, d); `seeds()` gives the CV seeds. The lambda CV and the fit share one set of ridge rows."""
     if table.shape[-2] < 2:
         raise ValueError("need at least 2 transition rows to fit the state evolution")
     design = table.copy()
     design[..., -1] = (table[..., 0] - center[:, None]) * table[..., -2]
+    rows = ridge_rows(design, targets, learner.center)
     if len(learner.lambda_grid) > 1:
-        lam = cv_lambdas(design, targets, learner, seeds())
+        lam = cv_lambdas(rows, learner, seeds())
     else:
         lam = np.full(len(design), learner.lambda_grid[0])
-    coef, intercept = ridge_solve(design, targets, lam, learner.center)
-    pooled = coef[:, None], intercept[:, None]
-    if time_homogeneous:
-        return pooled, None, lam
-    indices = np.unique(transition_index)
-    if not np.array_equal(indices, np.arange(len(indices))):
-        raise ValueError("per-period fit needs contiguous transition indices starting at 0")
-    fits = []
-    for t in indices:
-        rows = np.flatnonzero(transition_index == t)
-        if len(rows) < 2:
-            raise DegenerateDesignError(
-                f"rank-deficient single-row input for transition {t}; "
-                "pool subpopulation rows to fit per-period maps"
-            )
-        fits.append(ridge_solve(design[:, rows], targets[:, rows], lam))
-    return pooled, tuple(np.stack(a, axis=1) for a in zip(*fits)), lam
+    m, r = design.shape[:2]
+    coef, intercept = weighted_ridge(rows, np.ones((m, 1, r)), lam[:, None, None])  # (m, 1, 1, d), (m, 1, 1)
+    return coef[:, 0, 0], intercept[:, 0, 0], lam
 
 
 def fit_state_evolution(
     features: StateFeatures,
     learner: LearnerConfig | None = None,
     seed: int = 0,
-    time_homogeneous: bool = True,
 ) -> StateEvolutionModel:
-    """Ridge fit of the transition rows, pooled or (optionally) per period.
+    """Ridge fit of one map shared by every transition row.
 
     The mean-by-treatment interaction is centered at the baseline mean. The
     interaction then vanishes on pre-treatment rows and on the adoption-jump
     row, which keeps the treated-fraction coefficient pinned even when the
     design visits a single nonzero treated-fraction level; with two or more
     nonzero levels every coefficient is separately identified.
-
-    The per-period variant fits one map per transition index and needs
-    several rows per transition (subpopulation-pooled tables); the lambda is
-    still selected once on the pooled rows.
     """
     learner = learner or LearnerConfig()
     check_ridge_learner(learner)
     center = features.baseline_mean
-    (coef, intercept), periods, lam = _fit_maps(
-        features.table[None], features.targets[None], np.array([center]), features.transition_index, learner,
-        lambda: [seed], time_homogeneous,
+    coef, intercept, lam = _fit_maps(
+        features.table[None], features.targets[None], np.array([center]), learner, lambda: [seed]
     )
-    lam = float(lam[0])
-    period_models = None
-    if periods is not None:
-        period_models = tuple(RidgeModel(c, float(i), lam) for c, i in zip(*(a[0] for a in periods)))
     return StateEvolutionModel(
-        model=RidgeModel(coef[0, 0], float(intercept[0, 0]), lam), interaction_center=center,
-        context_moments=features.final_moments, period_models=period_models,
+        model=RidgeModel(coef[0], float(intercept[0]), float(lam[0])), interaction_center=center,
+        context_moments=features.final_moments,
     )
 
 
-def _evolve(coef, intercept, context, center, baseline, p: float, T: int, per_period: bool) -> np.ndarray:
-    """Mean-outcome paths (m, T + 1) from the baselines: each problem's maps (coefficients (m, P, d),
-    intercepts (m, P)) recursed with the treated fraction pinned at p."""
-    if per_period and T > coef.shape[1]:
-        raise ValueError(f"per-period model covers {coef.shape[1]} transitions, cannot recurse to T={T}")
+def _evolve(coef, intercept, context, center, baseline, p: float, T: int) -> np.ndarray:
+    """Mean-outcome paths (m, T + 1) from the baselines: each problem's map (coefficients (m, d), intercepts
+    (m,)) recursed with the treated fraction pinned at p."""
     # The feature row [mean, context[1:], p, (mean - center) * p] is affine in
-    # the mean, so each transition's map is the scalar step mean <- a * mean + b.
-    slope = coef[..., 0] + coef[..., -1] * p
-    offset = intercept + (coef[..., 1:-2] @ context[:, 1:, None])[..., 0] + p * (
-        coef[..., -2] - coef[..., -1] * center[:, None]
-    )
+    # the mean, so the map is the scalar step mean <- a * mean + b.
+    slope = coef[:, 0] + coef[:, -1] * p
+    offset = intercept + np.einsum("mj,mj->m", coef[:, 1:-2], context[:, 1:]) + p * (coef[:, -2] - coef[:, -1] * center)
     means = np.empty((len(coef), T + 1))
     means[:, 0] = baseline
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged path is reported below
         for t in range(T):
-            step = t if per_period else 0
-            means[:, t + 1] = slope[:, step] * means[:, t] + offset[:, step]
+            means[:, t + 1] = slope * means[:, t] + offset
     diverged = np.argwhere(~np.isfinite(means[:, 1:]))
     if diverged.size:
         raise RuntimeError(f"counterfactual recursion diverged at period {diverged[0, 1] + 1}")
@@ -305,11 +261,10 @@ def counterfactual_evolution(
 ) -> np.ndarray:
     """Read-only mean-outcome path for periods 0..T under a constant allocation, from the observed
     baseline: the fitted map recursed with the treated fraction pinned at 1 or 0."""
-    maps = model.period_models or (model.model,)
     path = _evolve(
-        np.stack([m.coefficients for m in maps])[None], np.array([[m.intercept for m in maps]]),
-        model.context_moments[None], np.array([model.interaction_center]), baseline_mean,
-        1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0, T, model.period_models is not None,
+        model.model.coefficients[None], np.array([model.model.intercept]), model.context_moments[None],
+        np.array([model.interaction_center]), baseline_mean,
+        1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0, T,
     )[0]
     path.setflags(write=False)
     return path
@@ -389,19 +344,22 @@ class CmpConfig:
     moment_order: int = 2
     n_subpopulations: int = 10
     learner: LearnerConfig = LearnerConfig(lambda_grid=tuple(float(x) for x in np.logspace(-8, 2, 6)))
-    time_homogeneous: bool = True
+    # Constructor-only and never stored, so that callers passing True keep working; any other value asked
+    # for the per-period maps, which are gone.
+    time_homogeneous: InitVar[bool] = True
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self, time_homogeneous):
+        if time_homogeneous is not True:
+            raise ValueError("time_homogeneous must be true: the per-period state-evolution maps were removed")
         check_count("moment_order", self.moment_order, 1)
         check_count("n_subpopulations", self.n_subpopulations, 2)
-        check_flag("time_homogeneous", self.time_homogeneous)
         check_ridge_learner(self.learner)
 
 
 def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds):
     """Each count row's transition rows: (table (m, r, d), targets (m, r), baseline mean (m,), final moments
-    (m, order), transition index (r,)), from the full resample or, when T is small, its subpopulations.
+    (m, order)), from the full resample or, when T < 3 * (d + 1), its subpopulations.
 
     Pooling subpopulation trajectories multiplies training rows, which matters
     when the panel is short; once the panel alone identifies the map, the
@@ -411,8 +369,8 @@ def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, see
     m, n = counts.shape
     table, targets, baseline, final = _count_features(panel, counts)
     T, k = panel.n_periods, config.n_subpopulations
-    if T >= 3 * (table.shape[-1] + 1) and config.time_homogeneous:
-        return table, targets, baseline, final, np.arange(T)
+    if T >= 3 * (table.shape[-1] + 1):
+        return table, targets, baseline, final
     _check_partition(n, k)
     starts = [_deal_start(seed, k) for seed in seeds("partition")]
     units, labels = _deal(counts, panel.baseline_order, panel.stage, starts, k)
@@ -426,7 +384,7 @@ def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, see
         b, j = np.nonzero(sizes == size)
         rows = members[b[:, None], first[b, j][:, None] + np.arange(size)]
         sub_table[b, j], sub_targets[b, j] = _group_features(panel, rows)[:2]
-    return sub_table.reshape(m, k * T, -1), sub_targets.reshape(m, k * T), baseline, final, np.tile(np.arange(T), k)
+    return sub_table.reshape(m, k * T, -1), sub_targets.reshape(m, k * T), baseline, final
 
 
 def _cmp_contrasts(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds) -> np.ndarray:
@@ -435,13 +393,9 @@ def _cmp_contrasts(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds) 
     `seeds(stream)` lists one seed per row on the named stream ("partition", "fit"); it is called only
     where a seed is read: the partition when pooling, the fit when the lambda grid needs CV.
     """
-    table, targets, baseline, final, transitions = _training_features(panel, counts, config, seeds)
-    pooled, periods, _ = _fit_maps(table, targets, baseline, transitions, config.learner, lambda: seeds("fit"),
-                                   config.time_homogeneous)
-    maps = pooled if periods is None else periods
-    treated, control = (
-        _evolve(*maps, final, baseline, baseline, p, panel.n_periods, periods is not None) for p in (1.0, 0.0)
-    )
+    table, targets, baseline, final = _training_features(panel, counts, config, seeds)
+    coef, intercept, _ = _fit_maps(table, targets, baseline, config.learner, lambda: seeds("fit"))
+    treated, control = (_evolve(coef, intercept, final, baseline, baseline, p, panel.n_periods) for p in (1.0, 0.0))
     return treated[:, -1] - control[:, -1]
 
 
@@ -450,8 +404,11 @@ def estimate_tte_cmp(
     config: CmpConfig | None = None,
     bootstrap: BootstrapConfig | None = None,
 ) -> EffectEstimate:
-    """Final-period contrast of the all-treated and all-control counterfactual evolutions.
+    """Final-period contrast of the all-treated and all-control counterfactual evolutions of one fitted
+    state-evolution map.
 
+    The map is fit on the panel's transition rows, or, when T < 3 * (columns + 1) (T < 15 at moment order
+    2), on the pooled rows of `n_subpopulations` subpopulations dealt from `config.seed`'s partition stream.
     The CI re-estimates over unit resamples, each with its own subpopulation
     partition, so both resampling layers feed the percentile interval.
     """

@@ -43,16 +43,10 @@ def exposure_matrix(g: BipartiteGraph, w, weighted: bool = False) -> np.ndarray:
     return np.column_stack([direct_exposure(g, w, weighted), indirect_exposure(g, w, weighted)])
 
 
-def counterfactual_exposures(
-    g: BipartiteGraph, all_units_treated: bool = False, weighted: bool = False
-) -> np.ndarray:
-    """Exposure pairs under the all-treated allocation.
-
-    By default every *eligible* unit is treated and ineligible units stay at
-    control; `all_units_treated` switches to the every-unit reading.
-    """
-    w_full = np.ones(g.n_treatment_units) if all_units_treated else g.eligible.astype(float)
-    return exposure_matrix(g, w_full, weighted)
+def counterfactual_exposures(g: BipartiteGraph, weighted: bool = False) -> np.ndarray:
+    """Exposure pairs under the all-treated allocation: every *eligible* unit is treated and ineligible
+    units stay at control, the allocation the oracle contrasts."""
+    return exposure_matrix(g, g.eligible.astype(float), weighted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +113,6 @@ def estimate_network(
     learner: LearnerConfig | None = None,
     bootstrap: BootstrapConfig | None = None,
     weighted_exposures: bool = False,
-    all_units_treated: bool = False,
     seed: int = 0,
 ) -> tuple[EffectEstimate, dict]:
     """End-to-end network-aware estimate from a dataset with a graph, plus
@@ -131,7 +124,7 @@ def estimate_network(
         raise ValueError("the network-aware method requires the dataset's bipartite graph")
     delta, treated, x = _pre_post_arrays(d)
     exposures = exposure_matrix(d.graph, treated.astype(float), weighted=weighted_exposures)
-    cf = counterfactual_exposures(d.graph, all_units_treated=all_units_treated, weighted=weighted_exposures)
+    cf = counterfactual_exposures(d.graph, weighted=weighted_exposures)
     om = fit_psi(exposures, x, delta, learner, seed=seed)
     est = estimate_ptte(om, cf, bootstrap=bootstrap)
     return est, {"network_extrapolation": bool(extrapolation_warnings(om, cf))}

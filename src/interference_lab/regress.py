@@ -60,31 +60,6 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def ridge_solve(X, y, lam, center: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (..., d) and intercepts (...) of the ridge fits of stacked problems X (..., n, d), y (..., n),
-    with `lam` broadcast against (...).
-
-    Solves the centered normal equations with the same floating-point operations for every problem of a
-    stack as for that problem alone: cmp's per-period fits are near-singular, so a different summation
-    order moves their estimates far beyond rounding. (BLAS sums in another order for another memory layout,
-    hence the contiguous copies.)
-    """
-    X = np.ascontiguousarray(X, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    d = X.shape[-1]
-    x_mean = X.mean(axis=-2) if center else np.zeros(X.shape[:-2] + (d,))
-    y_mean = y.mean(axis=-1) if center else np.zeros(y.shape[:-1])
-    Xc = X - x_mean[..., None, :]
-    Xc_t = np.swapaxes(Xc, -1, -2)
-    lam = np.asarray(lam, dtype=float)
-    A = Xc_t @ Xc + lam[..., None, None] * np.eye(d)
-    unpenalized = np.broadcast_to(lam == 0, A.shape[:-2])
-    if unpenalized.any() and (np.linalg.matrix_rank(A[unpenalized]) < d).any():
-        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
-    coef = np.linalg.solve(A, Xc_t @ (y - y_mean[..., None])[..., None])[..., 0]
-    return coef, y_mean - (x_mean[..., None, :] @ coef[..., :, None])[..., 0, 0]
-
-
 def ridge_fit(X, y, lam: float, center: bool = True) -> RidgeModel:
     """Penalized least squares on (internally centered) data."""
     X = _as_matrix(X)
@@ -92,8 +67,8 @@ def ridge_fit(X, y, lam: float, center: bool = True) -> RidgeModel:
         raise ValueError("need at least one training row")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    coef, intercept = ridge_solve(X, y, lam, center)
-    return RidgeModel(coefficients=coef, intercept=float(intercept), lam=float(lam))
+    coef, intercept = weighted_ridge(ridge_rows(X, y, center), np.ones((1, len(X))), lam)
+    return RidgeModel(coefficients=coef[0, 0], intercept=float(intercept[0, 0]), lam=float(lam))
 
 
 class RidgeRows(NamedTuple):
@@ -101,10 +76,11 @@ class RidgeRows(NamedTuple):
 
     `sx` (..., d) and `sy` (...) are the row means (zeros unless `center`), and `outer` (..., n, (d+2)²)
     holds each row's outer product of [1, x - sx, y - sy]. Every array is read-only, so one set serves
-    every weight row of a bootstrap.
+    every weight row of a bootstrap and every fold of a cross-validation.
     """
 
     X: np.ndarray
+    y: np.ndarray
     sx: np.ndarray
     sy: np.ndarray
     outer: np.ndarray
@@ -113,28 +89,30 @@ class RidgeRows(NamedTuple):
 
 def ridge_rows(X, y, center: bool = True) -> RidgeRows:
     """Prepare rows X (..., n, d), y (..., n) for any number of `weighted_ridge` calls."""
-    X = np.asarray(X, dtype=float).view()  # a view: marking it read-only leaves the caller's array writable
-    y = np.asarray(y, dtype=float)
+    # views: marking them read-only leaves the caller's arrays writable
+    X = np.asarray(X, dtype=float).view()
+    y = np.asarray(y, dtype=float).view()
     d = X.shape[-1]
     sx = X.mean(axis=-2) if center else np.zeros(X.shape[:-2] + (d,))
     sy = np.asarray(y.mean(axis=-1)) if center else np.zeros(y.shape[:-1])
     a = np.concatenate([np.ones(y.shape + (1,)), X - sx[..., None, :], (y - sy[..., None])[..., None]], axis=-1)
     outer = (a[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (-1,))
-    for arr in (X, sx, sy, outer):
+    for arr in (X, y, sx, sy, outer):
         arr.setflags(write=False)
-    return RidgeRows(X, sx, sy, outer, center)
+    return RidgeRows(X, y, sx, sy, outer, center)
 
 
 def weighted_ridge(rows: RidgeRows, w, lams) -> tuple[np.ndarray, np.ndarray]:
     """Weighted ridge fits of the prepared `rows`: coefficients (..., W, L, d) and intercepts (..., W, L).
 
     w (..., W, n) holds one nonnegative weight row per fit (a bootstrap count row, a fold's training
-    indicator); `lams` broadcasts against (..., W, L). Each fit is `ridge_fit` on the rows repeated by their
-    weights, centered on the weighted means when `rows.center`.
+    indicator, all ones for a plain fit); `lams` broadcasts against (..., W, L). Each fit solves the ridge
+    normal equations of the rows repeated by their weights, centered on the weighted means when `rows.center`
+    (without centering, the intercept is 0).
     The weighted cross-products are einsum sums over the prepared outer products, so a sum over units never
     goes to a (multithreaded) BLAS call and no weighted copy of the rows is built.
     """
-    X, sx, sy, outer, center = rows
+    X, _, sx, sy, outer, center = rows
     w = np.asarray(w, dtype=float)
     d = X.shape[-1]
     M = np.einsum("...wi,...ij->...wj", w, outer)
@@ -149,8 +127,8 @@ def weighted_ridge(rows: RidgeRows, w, lams) -> tuple[np.ndarray, np.ndarray]:
     A = A[..., None, :, :] + lams[..., None, None] * np.eye(d)
     unpenalized = np.broadcast_to(lams == 0, A.shape[:-2]).any(axis=-1)
     if unpenalized.any():
-        # Rank is decided on data centered on each fit's own weighted mean, as `ridge_fit` does: a column
-        # constant on a resample then gives an exactly, not nearly, zero row.
+        # Rank is decided on data centered on each fit's own weighted mean: a column constant on a
+        # resample then gives an exactly, not nearly, zero row.
         Xc = X[..., None, :, :]
         if center:
             Xc = Xc - (np.einsum("...wi,...ij->...wj", w, X) / w.sum(axis=-1)[..., None])[..., None, :]
@@ -264,7 +242,7 @@ def cross_validate(
         raise ValueError("every fold needs at least one sample")
 
     if learner == "ridge":
-        errs = _ridge_cv_errors(X, y, grid, folds, k_folds, center)
+        errs = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, k_folds)
     elif learner == "kernel_ridge":
         if kernel == "rbf" and bandwidth is None:
             bandwidth = median_bandwidth(X)
@@ -292,31 +270,33 @@ def _best_lambda_index(errs: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=-1), last, 0)
 
 
-def _ridge_cv_errors(X, y, grid: list[float], folds: np.ndarray, k_folds: int, center: bool) -> np.ndarray:
+def _ridge_cv_errors(rows: RidgeRows, grid: list[float], folds: np.ndarray, k_folds: int) -> np.ndarray:
     """Mean held-out squared error per grid value (..., L), as `ridge_fit` on each fold's training rows
-    would give it, for problems X (..., n, d), y (..., n) with folds (..., n), from one stacked solve."""
+    would give it, for the prepared rows of problems X (..., n, d), y (..., n) with folds (..., n), from one
+    stacked solve."""
     if grid[0] < 0:
         raise ValueError("lam must be nonnegative")
-    X = np.asarray(X, dtype=float)
+    X, y = rows.X, rows.y
     test = folds[..., None, :] == np.arange(k_folds)[:, None]  # (..., k, n) fold indicators
-    coef, intercept = weighted_ridge(ridge_rows(X, y, center), ~test, np.asarray(grid))  # (..., k, L, d), (..., k, L)
+    coef, intercept = weighted_ridge(rows, ~test, np.asarray(grid))  # (..., k, L, d), (..., k, L)
     # each row predicted by the models of the fold that holds it out
     held_out_coef = np.take_along_axis(coef, folds[..., None, None], axis=-3)
     held_out_intercept = np.take_along_axis(intercept, folds[..., None], axis=-2)
     pred = np.einsum("...ni,...nli->...nl", X, held_out_coef) + held_out_intercept
-    sq_err = (pred - np.asarray(y, dtype=float)[..., None]) ** 2
+    sq_err = (pred - y[..., None]) ** 2
     fold_errs = np.einsum("...kn,...nl->...kl", test.astype(float), sq_err) / test.sum(axis=-1)[..., None]
     return fold_errs.mean(axis=-2)
 
 
-def cv_lambdas(X, y, config: "LearnerConfig", seeds) -> np.ndarray:
-    """The lam `fit_learner` picks for each ridge problem X[b] (n, d), y[b] when the grid has several
-    values: cross-validated on folds from `seeds[b]`, in one stacked solve over problems, folds and grid."""
-    n = X.shape[-2]
+def cv_lambdas(rows: RidgeRows, config: "LearnerConfig", seeds) -> np.ndarray:
+    """The lam `fit_learner` picks for each ridge problem of the prepared rows (X[b] (n, d), y[b]) when the
+    grid has several values: cross-validated on folds from `seeds[b]`, in one stacked solve over problems,
+    folds and grid."""
+    n = rows.X.shape[-2]
     k_folds = min(config.cv_folds, n)
     folds = np.stack([fold_assignments(n, k_folds, seed) for seed in seeds])
     grid = sorted(config.lambda_grid)
-    return np.asarray(grid)[_best_lambda_index(_ridge_cv_errors(X, y, grid, folds, k_folds, config.center))]
+    return np.asarray(grid)[_best_lambda_index(_ridge_cv_errors(rows, grid, folds, k_folds))]
 
 
 @dataclass(frozen=True)

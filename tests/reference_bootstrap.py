@@ -8,8 +8,10 @@ partition and recursion code the estimators ran before. cmp's full-resample
 moments are the exception: they follow the package's count-weighted
 definition, computed per draw from that draw's count row over the dataset's
 rows (`count_features`), while its subpopulation moments reduce each
-subpopulation's own rows. Kernel ridge, fold assignment, exposures and
-pre/post arrays come from the package unchanged.
+subpopulation's own rows. The single-problem `ridge_fit` likewise solves
+the normal equations the package's way, from summed row outer products.
+Kernel ridge, fold assignment, exposures and pre/post arrays come from the
+package unchanged.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ def bootstrap_estimate(method, point, bootstrap, stream, n, statistic, valid=Non
 
 
 def ridge_fit(X, y, lam, center=True) -> RidgeModel:
+    """The package's normal equations: the sum over rows of the outer products of a = [1, x - x̄, y - ȳ]
+    gives the cross-products of the shifted data, which are then centered on their own (rounding-sized)
+    means. cmp's no_interference fits have condition numbers near 2e16, so the same arithmetic, not the
+    same algebra by another route such as `Xc.T @ Xc`, is what keeps them within rounding."""
     X = np.asarray(X, dtype=float)
     X = X[:, None] if X.ndim == 1 else X
     y = np.asarray(y, dtype=float)
@@ -63,12 +69,21 @@ def ridge_fit(X, y, lam, center=True) -> RidgeModel:
         raise ValueError("lam must be nonnegative")
     x_mean = X.mean(axis=0) if center else np.zeros(d)
     y_mean = float(y.mean()) if center else 0.0
-    Xc = X - x_mean
-    A = Xc.T @ Xc + lam * np.eye(d)
-    if lam == 0 and np.linalg.matrix_rank(A) < d:
-        raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
-    coef = np.linalg.solve(A, Xc.T @ (y - y_mean))
-    return RidgeModel(coefficients=coef, intercept=y_mean - float(x_mean @ coef), lam=float(lam))
+    a = np.column_stack([np.ones(n), X - x_mean, y - y_mean])
+    M = (a[:, :, None] * a[:, None, :]).sum(axis=0)
+    A, r = M[1:-1, 1:-1], M[1:-1, -1]
+    shift_x, shift_y = np.zeros(d), 0.0
+    if center:
+        shift_x, shift_y = M[0, 1:-1] / n, M[0, -1] / n
+        A = A - n * np.outer(shift_x, shift_x)
+        r = r - n * shift_x * shift_y
+    if lam == 0:
+        Xc = X - X.mean(axis=0) if center else X
+        if np.linalg.matrix_rank(Xc.T @ Xc) < d:
+            raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
+    coef = np.linalg.solve(A + lam * np.eye(d), r)
+    intercept = (y_mean + shift_y) - float((x_mean + shift_x) @ coef) if center else 0.0
+    return RidgeModel(coefficients=coef, intercept=intercept, lam=float(lam))
 
 
 def _ridge_cv_errors(X, y, grid, folds, k_folds, center):
@@ -164,11 +179,10 @@ def estimate_basic(d, learner, bootstrap) -> EffectEstimate:
     return contrast_estimate("basic", "basic-boot", model, design, delta, np.ones_like(z), learner, bootstrap)
 
 
-def estimate_network(d, learner, bootstrap, weighted_exposures=False, all_units_treated=False,
-                     seed=0) -> EffectEstimate:
+def estimate_network(d, learner, bootstrap, weighted_exposures=False, seed=0) -> EffectEstimate:
     delta, treated, x = _pre_post_arrays(d)
     exposures = exposure_matrix(d.graph, treated.astype(float), weighted=weighted_exposures)
-    cf = counterfactual_exposures(d.graph, all_units_treated=all_units_treated, weighted=weighted_exposures)
+    cf = counterfactual_exposures(d.graph, weighted=weighted_exposures)
     if not _has_variation(exposures):
         raise DegenerateDesignError("all exposure points identical; outcome model unidentified")
     design = exposures if x is None else np.hstack([exposures, x])
@@ -229,7 +243,7 @@ def _features(moment_rows, p_next) -> StateFeatures:
     means = moment_rows[:, 0]
     table = np.column_stack([moment_rows[:-1], p_next, means[:-1] * p_next])
     return StateFeatures(table=table, targets=means[1:], baseline_mean=float(means[0]),
-                         final_moments=moment_rows[-1], transition_index=np.arange(len(p_next)))
+                         final_moments=moment_rows[-1])
 
 
 def network_bootstrap(d, n_subpopulations, seed):
@@ -248,7 +262,7 @@ def network_bootstrap(d, n_subpopulations, seed):
     return [subset_dataset(d, np.flatnonzero(label == j)) for j in range(n_subpopulations)]
 
 
-def fit_state_evolution(features, learner, seed, time_homogeneous) -> StateEvolutionModel:
+def fit_state_evolution(features, learner, seed) -> StateEvolutionModel:
     table = features.table
     if len(table) < 2:
         raise ValueError("need at least 2 transition rows to fit the state evolution")
@@ -256,36 +270,18 @@ def fit_state_evolution(features, learner, seed, time_homogeneous) -> StateEvolu
     design = table.copy()
     design[:, -1] = (table[:, 0] - center) * table[:, -2]
     model = fit_learner(design, features.targets, learner, seed=seed)
-    period_models = None
-    if not time_homogeneous:
-        fits = []
-        for t in np.unique(features.transition_index):
-            rows = features.transition_index == t
-            if rows.sum() < 2:
-                raise DegenerateDesignError(
-                    f"rank-deficient single-row input for transition {t}; "
-                    "pool subpopulation rows to fit per-period maps"
-                )
-            fits.append(ridge_fit(design[rows], features.targets[rows], model.lam))
-        period_models = tuple(fits)
-    return StateEvolutionModel(model=model, interaction_center=center, context_moments=features.final_moments,
-                               period_models=period_models)
+    return StateEvolutionModel(model=model, interaction_center=center, context_moments=features.final_moments)
 
 
 def counterfactual_evolution(model, baseline_mean, allocation, T) -> np.ndarray:
     p = 1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0
-    maps = model.period_models or (model.model,)
-    coef = np.stack([m.coefficients for m in maps])
-    intercept = np.array([m.intercept for m in maps])
-    slope = coef[:, 0] + coef[:, -1] * p
-    offset = intercept + coef[:, 1:-2] @ model.context_moments[1:] + p * (
-        coef[:, -2] - coef[:, -1] * model.interaction_center
-    )
-    if model.period_models is None:
-        slope, offset = np.repeat(slope, T), np.repeat(offset, T)
+    coef, intercept = model.model.coefficients, model.model.intercept
+    slope = float(coef[0] + coef[-1] * p)
+    offset = float(intercept + coef[1:-2] @ model.context_moments[1:]
+                   + p * (coef[-2] - coef[-1] * model.interaction_center))
     means = [float(baseline_mean)]
-    for t, a, b in zip(range(1, T + 1), slope.tolist(), offset.tolist()):
-        means.append(a * means[-1] + b)
+    for t in range(1, T + 1):
+        means.append(slope * means[-1] + offset)
         if not math.isfinite(means[-1]):
             raise RuntimeError(f"counterfactual recursion diverged at period {t}")
     return np.array(means)
@@ -293,7 +289,7 @@ def counterfactual_evolution(model, baseline_mean, allocation, T) -> np.ndarray:
 
 def _training_features(d, rows, config, partition_seed) -> StateFeatures:
     full = count_features(d, np.bincount(rows, minlength=d.n_units), config.moment_order)
-    if len(full.table) >= 3 * (full.table.shape[1] + 1) and config.time_homogeneous:
+    if len(full.table) >= 3 * (full.table.shape[1] + 1):
         return full
     parts = [build_features(s, config.moment_order)
              for s in network_bootstrap(subset_dataset(d, rows), config.n_subpopulations, partition_seed)]
@@ -302,14 +298,13 @@ def _training_features(d, rows, config, partition_seed) -> StateFeatures:
         targets=np.concatenate([p.targets for p in parts]),
         baseline_mean=full.baseline_mean,
         final_moments=full.final_moments,
-        transition_index=np.concatenate([p.transition_index for p in parts]),
     )
 
 
 def _cmp_point(d, rows, config, partition_seed, fit_seed) -> float:
     """The cmp contrast of the resample `rows` (sorted unit indices) of d."""
     features = _training_features(d, rows, config, partition_seed)
-    model = fit_state_evolution(features, config.learner, fit_seed, config.time_homogeneous)
+    model = fit_state_evolution(features, config.learner, fit_seed)
     T = d.n_periods
     treated = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
     control = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_CONTROL, T)

@@ -192,6 +192,10 @@ def test_scenario_from_dict_validation():
     bad2 = dict(good, estimators={"magic": {}})
     with pytest.raises(ValueError, match="unknown estimator blocks"):
         scenario_from_dict(bad2)
+    for block in ("basic", "network", "cmp"):
+        stray = dict(good["estimators"][block], all_units_treated=False, weights=1)
+        with pytest.raises(ValueError, match=rf"^unknown {block} settings keys: \['all_units_treated', 'weights'\]$"):
+            scenario_from_dict(dict(good, estimators=dict(good["estimators"], **{block: stray})))
 
 
 @pytest.mark.parametrize("seed", ["71", 71.5, True, None])

@@ -78,7 +78,6 @@ def cases():
             yield f"{name}-T{T}-cmp", cmp_pair(d, cmp_config(cfg))
     for T in (20, 12):
         cfg, d = preset_dataset("upward_bias", T, replicate=1)
-        yield f"per-period-T{T}", cmp_pair(d, cmp_config(cfg, time_homogeneous=False))
         for order in (1, 2, 3):
             yield f"order{order}-T{T}", cmp_pair(d, cmp_config(cfg, moment_order=order))
     cfg, d = preset_dataset("sign_reversal", 20, replicate=2, with_covariates=True, weight_mode="lognormal",

@@ -232,7 +232,7 @@ BAD_ESTIMATOR_BLOCKS = [
     ("cmp", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1]}},
      "cmp settings: state evolution uses the ridge learner"),
     ("network", {"weighted_exposures": "no"}, "network settings: weighted_exposures must be true or false, got 'no'"),
-    ("cmp", {"time_homogeneous": "false"}, "cmp settings: time_homogeneous must be true or false, got 'false'"),
+    ("cmp", {"time_homogeneous": "false"}, "unknown cmp settings keys: ['time_homogeneous']"),
 ]
 
 
@@ -318,7 +318,8 @@ def test_preset_configs_load_by_name():
         assert cfg.name == name
 
 
-# Bench's optional paths: per-period cmp maps and a network lambda grid that needs CV.
+# Bench's optional paths: a cmp fit that reads both its partition and fit streams (T=6 pools subpopulations,
+# and the two-value lambda grid needs CV) and a network lambda grid that needs CV.
 # At seed 74 the CV picks a different lambda in both replicates when the
 # network fit seed takes an extra hop, so any seed drift between CLI and bench shows.
 PARITY_SCENARIO = dict(
@@ -331,7 +332,7 @@ PARITY_SCENARIO = dict(
             TINY_SCENARIO["estimators"]["network"],
             learner={"kind": "ridge", "lambda_grid": [1e-3, 3, 10]},
         ),
-        "cmp": dict(TINY_SCENARIO["estimators"]["cmp"], time_homogeneous=False),
+        "cmp": TINY_SCENARIO["estimators"]["cmp"],
     },
 )
 

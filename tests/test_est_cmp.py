@@ -39,15 +39,13 @@ def panel_dataset(outcomes, assignments, design="free", pre_period_end=0):
     )
 
 
-def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0), transitions=None):
+def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0)):
     """Order-2 rows: (mean, var, p_next, mean_x_p_next)."""
-    table = np.asarray(table, float)
     return StateFeatures(
-        table=table,
+        table=np.asarray(table, float),
         targets=np.asarray(targets, float),
         baseline_mean=baseline_mean,
         final_moments=np.asarray(final_moments, float),
-        transition_index=np.arange(len(table)) if transitions is None else np.asarray(transitions, int),
     )
 
 
@@ -149,49 +147,6 @@ def manual_model(coefficients, intercept, center=0.0, context=(0.0, 0.0)):
         interaction_center=center,
         context_moments=np.asarray(context, float),
     )
-
-
-def test_per_period_fit_recovers_time_varying_maps():
-    # transition 0: m' = m + 1.0 p; transition 1: m' = m + 2.0 p
-    rng = np.random.default_rng(9)
-    rows, targets, transitions = [], [], []
-    for t, slope in enumerate((1.0, 2.0)):
-        for _ in range(10):
-            m, p = float(rng.uniform(0, 4)), float(rng.uniform(0.2, 1.0))
-            rows.append([m, 0.1, p, m * p])
-            targets.append(m + slope * p)
-            transitions.append(t)
-    f = features_table(rows, targets, baseline_mean=2.0, transitions=transitions)
-    model = fit_state_evolution(f, TINY, time_homogeneous=False)
-    assert model.period_models is not None and len(model.period_models) == 2
-    assert model.period_models[0].coefficients[2] == pytest.approx(1.0, abs=1e-3)
-    assert model.period_models[1].coefficients[2] == pytest.approx(2.0, abs=1e-3)
-    traj = counterfactual_evolution(model, 0.0, AllocationScenario.ALL_TREATED, T=2)
-    assert traj[-1] == pytest.approx(3.0, abs=1e-3)
-    with pytest.raises(ValueError, match="cannot recurse"):
-        counterfactual_evolution(model, 0.0, AllocationScenario.ALL_TREATED, T=3)
-
-
-def test_per_period_fit_rejects_single_row_transitions():
-    from interference_lab.regress import DegenerateDesignError
-
-    rows = [[1.0, 0.1, 0.5, 0.5], [2.0, 0.1, 0.6, 1.2]]
-    f = features_table(rows, [1.5, 2.5], baseline_mean=1.0, transitions=[0, 1])
-    with pytest.raises(DegenerateDesignError, match="single-row"):
-        fit_state_evolution(f, TINY, time_homogeneous=False)
-
-
-def test_per_period_estimate_runs_end_to_end():
-    d = simulate_experiment(
-        GraphParams(n_eligible=60, n_connected=90, avg_degree=2.0),
-        DgpParams(beta=1.0, gamma=0.0, rho=0.0, sigma=0.2, baseline_mean=4.0, baseline_sd=1.0),
-        RolloutParams((1, 3), (0.3, 0.6)),
-        T=6,
-        seed=53,
-    )
-    cfg = CmpConfig(n_subpopulations=6, learner=TINY, time_homogeneous=False, seed=3)
-    est = estimate_tte_cmp(d, cfg, BootstrapConfig(15, seed=4))
-    assert np.isfinite(est.point)
 
 
 def test_identity_model_is_fixed_point():
@@ -420,6 +375,35 @@ def test_one_value_lambda_grid_matches_cv_over_that_value():
     assert constant == estimate((1e-6,), seed=2)  # no CV folds and no partition read the seed
 
 
+@pytest.mark.parametrize("T, pools", [(14, True), (15, False)])
+def test_config_seed_is_read_only_where_the_panel_is_too_short_to_fit(T, pools):
+    """At moment order 2 the table has 4 columns, so cmp pools subpopulations when T < 3 * (4 + 1) = 15. With a
+    one-value lambda grid no CV reads the seed, so it changes the estimate only through the partition."""
+    d = simulate_experiment(
+        GraphParams(n_eligible=60, n_connected=90, avg_degree=2.0),
+        DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.4, baseline_mean=3.0, baseline_sd=1.0),
+        RolloutParams((2, 5), (0.3, 0.6)),
+        T=T,
+        seed=53,
+    )
+    bs = BootstrapConfig(10, seed=4)
+    one, other = (estimate_tte_cmp(d, CmpConfig(n_subpopulations=5, learner=LearnerConfig(lambda_grid=(1e-6,)),
+                                                seed=seed), bs) for seed in (1, 2))
+    if pools:
+        assert one.point != other.point
+    else:
+        assert one == other
+
+
+def test_per_period_maps_are_rejected_and_the_flag_is_not_stored():
+    with pytest.raises(ValueError, match="per-period state-evolution maps were removed"):
+        CmpConfig(time_homogeneous=False)
+    config = CmpConfig(time_homogeneous=True, seed=3)
+    assert config == CmpConfig(seed=3)
+    assert "time_homogeneous" not in dataclasses.asdict(config)
+    assert dataclasses.replace(config, seed=4) == CmpConfig(seed=4)
+
+
 def loop_partition(d, k, seed):
     """Reference for `network_bootstrap`: the per-stratum, per-unit round-robin deal."""
     n = d.n_units
@@ -516,14 +500,14 @@ def loop_evolution(model, baseline_mean, p, T):
     for t in range(T):
         m = means[-1]
         row = np.concatenate([[m], model.context_moments[1:], [p, (m - model.interaction_center) * p]])
-        fitted = model.model if model.period_models is None else model.period_models[t]
-        means.append(float(predict(fitted, row[None, :])[0]))
+        means.append(float(predict(model.model, row[None, :])[0]))
     return np.asarray(means)
 
 
-@pytest.mark.parametrize("time_homogeneous", [True, False])
+@pytest.mark.parametrize("pooled", [True, False])
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_counterfactual_evolution_matches_predict_loop(time_homogeneous, order):
+def test_counterfactual_evolution_matches_predict_loop(pooled, order):
+    """The map fit on subpopulation-pooled rows, or on the full panel's own rows, recursed two ways."""
     d = simulate_experiment(
         GraphParams(n_eligible=80, n_connected=120, avg_degree=2.0),
         DgpParams(beta=1.0, gamma=0.5, rho=0.3, sigma=0.3, baseline_mean=4.0, baseline_sd=1.0),
@@ -531,17 +515,17 @@ def test_counterfactual_evolution_matches_predict_loop(time_homogeneous, order):
         T=6,
         seed=80 + order,
     )
-    parts = [build_features(s, order) for s in network_bootstrap(d, 6, seed=order)]
     full = build_features(d, order)
-    features = StateFeatures(
-        table=np.vstack([p.table for p in parts]),
-        targets=np.concatenate([p.targets for p in parts]),
-        baseline_mean=full.baseline_mean,
-        final_moments=full.final_moments,
-        transition_index=np.concatenate([p.transition_index for p in parts]),
-    )
-    model = fit_state_evolution(features, TINY, seed=order, time_homogeneous=time_homogeneous)
-    assert (model.period_models is None) == time_homogeneous
+    features = full
+    if pooled:
+        parts = [build_features(s, order) for s in network_bootstrap(d, 6, seed=order)]
+        features = StateFeatures(
+            table=np.vstack([p.table for p in parts]),
+            targets=np.concatenate([p.targets for p in parts]),
+            baseline_mean=full.baseline_mean,
+            final_moments=full.final_moments,
+        )
+    model = fit_state_evolution(features, TINY, seed=order)
     for allocation, p in ((AllocationScenario.ALL_TREATED, 1.0), (AllocationScenario.ALL_CONTROL, 0.0)):
         traj = counterfactual_evolution(model, full.baseline_mean, allocation, d.n_periods)
         np.testing.assert_allclose(traj, loop_evolution(model, full.baseline_mean, p, d.n_periods), rtol=1e-12)

@@ -43,7 +43,7 @@ POOLED = {
     },
 }
 
-# The optional paths: per-period cmp maps, network lambda CV, weighted and all-units exposures.
+# The optional paths: cmp at moment order 1, network lambda CV and weighted exposures.
 VARIANT = dict(
     POOLED,
     name="golden_variant",
@@ -54,9 +54,8 @@ VARIANT = dict(
             "learner": {"kind": "ridge", "lambda_grid": [1e-3, 3.0, 10.0]},
             "n_bootstrap": 25,
             "weighted_exposures": True,
-            "all_units_treated": True,
         },
-        "cmp": dict(POOLED["estimators"]["cmp"], time_homogeneous=False),
+        "cmp": dict(POOLED["estimators"]["cmp"], moment_order=1),
     },
 )
 

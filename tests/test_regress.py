@@ -237,7 +237,7 @@ def test_batched_cross_validate_matches_ridge_fit_loop(center):
         grid = sorted(float(v) for v in np.logspace(-8, 3, int(rng.integers(2, 11))))
         folds = fold_assignments(n, k, seed)
         want = loop_cv_errors(X, y, grid, folds, center=center)
-        got = _ridge_cv_errors(X, y, grid, folds, k, center)
+        got = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, k)
         # the two routes round differently; a solve's relative error grows with the condition number
         rtol = 1e3 * np.finfo(float).eps * fold_condition(X, grid, folds, center)
         assert np.all(np.abs(got - want) <= rtol * np.abs(want))
@@ -251,7 +251,7 @@ def test_batched_cross_validate_exact_tie_matches_loop(center):
     y = np.zeros(6)  # every lam predicts zero exactly: all errors tie
     grid = [1e-3, 0.1, 1.0, 10.0]
     folds = fold_assignments(6, 3, seed=5)
-    errs = _ridge_cv_errors(X, y, grid, folds, 3, center)
+    errs = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, 3)
     assert errs.tolist() == loop_cv_errors(X, y, grid, folds, center=center)
     assert len(set(errs.tolist())) == 1
     assert cross_validate(X, y, grid, k_folds=3, seed=5, center=center) == 10.0
@@ -329,7 +329,7 @@ def test_weighted_ridge_at_lam_zero_rejects_a_rank_deficient_resample():
 def test_prepared_rows_are_read_only_and_leave_the_inputs_writable():
     X, y, _ = weighted_problem(())
     rows = ridge_rows(X, y)
-    for arr in (rows.X, rows.sx, rows.sy, rows.outer):
+    for arr in (rows.X, rows.y, rows.sx, rows.sy, rows.outer):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     X[0, 0] = y[0] = 1.0
