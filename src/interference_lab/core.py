@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import substream
+from .rng import substreams
 
 DESIGN_TAGS = ("staggered", "fixed", "free")
 METHODS = ("basic", "network_aware", "cmp")
@@ -320,20 +320,22 @@ def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, st
     """Percentile interval over `bootstrap.n_replicates` unit resamples of `n` units.
 
     Draw b is a multinomial resample of the unit indices from `substream(bootstrap.seed, stream, b)`,
-    redrawn on that generator until `valid(counts)` holds (at most MAX_RESAMPLE_TRIES times). Its count row
-    says how often each unit was drawn; `np.repeat(np.arange(n), counts)` is the sorted resample.
+    redrawn on that generator until `valid(counts)` holds (at most MAX_RESAMPLE_TRIES times); the streams of
+    all draws are derived in one batch before the first draw. Its count row says how often each unit was
+    drawn; `np.repeat(np.arange(n), counts)` is the sorted resample.
     `statistic(counts, draws)` scores a chunk of count rows, with draw indices `draws`, one value per row.
     A failure raises the error of the lowest-index failing draw, whether its validity rule never held or
     the statistic raised for it.
     """
     boot = np.empty(bootstrap.n_replicates)
+    streams = substreams(bootstrap.seed, stream, range(bootstrap.n_replicates))
     rows = max(1, CHUNK_BYTES // (8 * n))
     for start in range(0, bootstrap.n_replicates, rows):
         draws = range(start, min(start + rows, bootstrap.n_replicates))
         counts = np.empty((len(draws), n), dtype=np.int64)
         invalid = None
         for i, b in enumerate(draws):
-            rg = substream(bootstrap.seed, stream, b)
+            rg = streams[b]
             for _ in range(MAX_RESAMPLE_TRIES):
                 counts[i] = np.bincount(rg.integers(0, n, size=n), minlength=n)
                 if valid is None or valid(counts[i]):

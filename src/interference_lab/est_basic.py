@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, bootstrap_estimate
-from .regress import LearnerConfig, cv_lambdas, fit_learner, predict, ridge_rows, weighted_ridge
-from .rng import child_seed
+from .regress import LearnerConfig, cv_lambdas, fit_learner, learner_folds, predict, ridge_rows, weighted_ridge
+from .rng import child_seed, child_seeds
 
 
 def _pre_post_arrays(d: ExperimentDataset):
@@ -53,11 +53,13 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
     The point uses the fitted `model`; each bootstrap draw refits delta on the resampled design
     rows, redrawing until z varies on the resample. A ridge model's contrast is linear in its
     z coefficients, so every draw of a chunk is fit at once by weighting cross-product rows built
-    once per estimate; kernel ridge refits each draw on its resampled rows.
+    once per estimate; kernel ridge refits each draw on its resampled rows. With several grid values,
+    draw b's CV seed is `child_seed(bootstrap.seed, "boot-fit", b)`, derived for all draws at once.
     """
     n, k = design.shape[0], z_treated.shape[1]
     units = np.arange(n)
     multi_grid = len(learner.lambda_grid) > 1
+    fit_seeds = child_seeds(bootstrap.seed, "boot-fit", range(bootstrap.n_replicates)) if multi_grid else None
     valid = _varies_on(design[:, :k])
     if learner.kind == "kernel_ridge":
         design_1 = np.hstack([z_treated, design[:, k:]])
@@ -70,7 +72,7 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
             out = []
             for row, b in zip(counts, draws):
                 idx = np.repeat(units, row)
-                seed = child_seed(bootstrap.seed, "boot-fit", b) if multi_grid else 0
+                seed = int(fit_seeds[b]) if multi_grid else 0
                 out.append(contrast(fit_learner(design[idx], delta[idx], learner, seed=seed), idx))
             return np.asarray(out)
 
@@ -86,8 +88,8 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
             lams = learner.lambda_grid[0]
             if multi_grid:
                 idx = np.repeat(np.tile(units, len(counts)), counts.ravel()).reshape(counts.shape)
-                seeds = [child_seed(bootstrap.seed, "boot-fit", b) for b in draws]
-                lams = cv_lambdas(ridge_rows(design[idx], delta[idx], learner.center), learner, seeds)[:, None]
+                folds = learner_folds(learner, n, fit_seeds[draws.start:draws.stop])
+                lams = cv_lambdas(ridge_rows(design[idx], delta[idx], learner.center), learner, folds)[:, None]
             coef, _ = weighted_ridge(rows, counts, lams)
             return contrast(counts, coef[:, 0])
 

@@ -40,8 +40,8 @@ from .core import (
     bootstrap_estimate,
     check_count,
 )
-from .regress import LearnerConfig, RidgeModel, cv_lambdas, ridge_rows, weighted_ridge
-from .rng import child_seed, substream
+from .regress import LearnerConfig, RidgeModel, cv_lambdas, learner_folds, ridge_rows, weighted_ridge
+from .rng import child_seeds, substreams
 
 N_BASELINE_BINS = 4
 
@@ -193,16 +193,17 @@ class StateEvolutionModel:
         object.__setattr__(self, "context_moments", a)
 
 
-def _fit_maps(table, targets, center, learner: LearnerConfig, seeds):
+def _fit_maps(table, targets, center, learner: LearnerConfig, folds):
     """Each problem's state-evolution map: coefficients (m, d), intercepts (m,) and lam (m,), from tables
-    (m, r, d); `seeds()` gives the CV seeds. The lambda CV and the fit share one set of ridge rows."""
+    (m, r, d); `folds` (m, r) are the CV folds, from `learner_folds`. The lambda CV and the fit share one set of
+    ridge rows."""
     if table.shape[-2] < 2:
         raise ValueError("need at least 2 transition rows to fit the state evolution")
     design = table.copy()
     design[..., -1] = (table[..., 0] - center[:, None]) * table[..., -2]
     rows = ridge_rows(design, targets, learner.center)
-    if len(learner.lambda_grid) > 1:
-        lam = cv_lambdas(rows, learner, seeds())
+    if folds is not None:
+        lam = cv_lambdas(rows, learner, folds)
     else:
         lam = np.full(len(design), learner.lambda_grid[0])
     m, r = design.shape[:2]
@@ -227,7 +228,8 @@ def fit_state_evolution(
     check_ridge_learner(learner)
     center = features.baseline_mean
     coef, intercept, lam = _fit_maps(
-        features.table[None], features.targets[None], np.array([center]), learner, lambda: [seed]
+        features.table[None], features.targets[None], np.array([center]), learner,
+        learner_folds(learner, len(features.table), [seed]),
     )
     return StateEvolutionModel(
         model=RidgeModel(coef[0], float(intercept[0]), float(lam[0])), interaction_center=center,
@@ -301,8 +303,9 @@ def _deal(counts: np.ndarray, baseline_order: np.ndarray, stage: np.ndarray, sta
     return units, labels
 
 
-def _deal_start(seed: int, n_subpopulations: int) -> int:
-    return int(substream(seed, "deal-start").integers(n_subpopulations))
+def _deal_starts(seeds, n_subpopulations: int) -> np.ndarray:
+    """Each partition seed's deal start: the first draw of its "deal-start" stream."""
+    return np.array([rg.integers(n_subpopulations) for rg in substreams(seeds, "deal-start")], dtype=np.intp)
 
 
 def network_bootstrap(d: ExperimentDataset, n_subpopulations: int, seed: int) -> list[ExperimentDataset]:
@@ -318,7 +321,7 @@ def network_bootstrap(d: ExperimentDataset, n_subpopulations: int, seed: int) ->
     _check_partition(d.n_units, n_subpopulations)
     units, labels = _deal(
         np.ones((1, d.n_units), dtype=np.int64), np.argsort(d.outcomes.outcomes[:, 0], kind="stable"),
-        _adoption_stage(d.treatments.assignments), [_deal_start(seed, n_subpopulations)], n_subpopulations,
+        _adoption_stage(d.treatments.assignments), _deal_starts([seed], n_subpopulations), n_subpopulations,
     )
     label = np.empty(d.n_units, dtype=np.intp)
     label[units[0]] = labels[0]
@@ -357,9 +360,15 @@ class CmpConfig:
         check_ridge_learner(self.learner)
 
 
-def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds):
+def _pools(panel: _Panel) -> bool:
+    """Whether the map is fit on pooled subpopulation rows: when T < 3 * (d + 1) for the d = order + 2 columns
+    of the transition table."""
+    return panel.n_periods < 3 * (panel.moment_order + 3)
+
+
+def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, starts):
     """Each count row's transition rows: (table (m, r, d), targets (m, r), baseline mean (m,), final moments
-    (m, order)), from the full resample or, when T < 3 * (d + 1), its subpopulations.
+    (m, order)), from the full resample or, when `_pools`, its subpopulations dealt from `starts` (m,).
 
     Pooling subpopulation trajectories multiplies training rows, which matters
     when the panel is short; once the panel alone identifies the map, the
@@ -369,10 +378,9 @@ def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, see
     m, n = counts.shape
     table, targets, baseline, final = _count_features(panel, counts)
     T, k = panel.n_periods, config.n_subpopulations
-    if T >= 3 * (table.shape[-1] + 1):
+    if not _pools(panel):
         return table, targets, baseline, final
     _check_partition(n, k)
-    starts = [_deal_start(seed, k) for seed in seeds("partition")]
     units, labels = _deal(counts, panel.baseline_order, panel.stage, starts, k)
     # Each subpopulation's units in row order: sorted.
     members = np.sort(labels * n + units, axis=1) % n
@@ -387,14 +395,26 @@ def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, see
     return sub_table.reshape(m, k * T, -1), sub_targets.reshape(m, k * T), baseline, final
 
 
-def _cmp_contrasts(panel: _Panel, counts: np.ndarray, config: CmpConfig, seeds) -> np.ndarray:
-    """Final-period all-treated minus all-control mean for each count row's resample.
+def _draw_inputs(panel: _Panel, config: CmpConfig, seed: int, *draw) -> tuple:
+    """The deal starts (m,) and CV folds (m, r) of the resamples (seed, *draw), or None where unread.
 
-    `seeds(stream)` lists one seed per row on the named stream ("partition", "fit"); it is called only
-    where a seed is read: the partition when pooling, the fit when the lambda grid needs CV.
+    A resample's partition seed is `child_seed(seed, "partition", *draw)` and its fit seed
+    `child_seed(seed, "fit", *draw)`; a `draw` part that is a range of draw indices derives all of them,
+    their "deal-start" and their "cv-folds" streams in one batch each. The starts are read only when the
+    panel pools, the folds only when the lambda grid has several values.
     """
-    table, targets, baseline, final = _training_features(panel, counts, config, seeds)
-    coef, intercept, _ = _fit_maps(table, targets, baseline, config.learner, lambda: seeds("fit"))
+    partition, fit = child_seeds(seed, [["partition"], ["fit"]], *draw)
+    pooled = _pools(panel)
+    starts = _deal_starts(partition, config.n_subpopulations) if pooled else None
+    n_rows = panel.n_periods * (config.n_subpopulations if pooled else 1)
+    return starts, learner_folds(config.learner, n_rows, fit)
+
+
+def _cmp_contrasts(panel: _Panel, counts: np.ndarray, config: CmpConfig, starts, folds) -> np.ndarray:
+    """Final-period all-treated minus all-control mean for each count row's resample, dealt from `starts`
+    and cross-validated on `folds` (`_draw_inputs`)."""
+    table, targets, baseline, final = _training_features(panel, counts, config, starts)
+    coef, intercept, _ = _fit_maps(table, targets, baseline, config.learner, folds)
     treated, control = (_evolve(coef, intercept, final, baseline, baseline, p, panel.n_periods) for p in (1.0, 0.0))
     return treated[:, -1] - control[:, -1]
 
@@ -410,16 +430,19 @@ def estimate_tte_cmp(
     The map is fit on the panel's transition rows, or, when T < 3 * (columns + 1) (T < 15 at moment order
     2), on the pooled rows of `n_subpopulations` subpopulations dealt from `config.seed`'s partition stream.
     The CI re-estimates over unit resamples, each with its own subpopulation
-    partition, so both resampling layers feed the percentile interval.
+    partition, so both resampling layers feed the percentile interval. The partition and CV streams of all
+    draws are derived once, before the first draw.
     """
     config = config or CmpConfig()
     bootstrap = bootstrap or BootstrapConfig()
     panel = _panel(d, config.moment_order)
     ones = np.ones((1, d.n_units), dtype=np.int64)
-    point = float(_cmp_contrasts(panel, ones, config, lambda stream: [child_seed(config.seed, stream)])[0])
+    point = float(_cmp_contrasts(panel, ones, config, *_draw_inputs(panel, config, config.seed))[0])
+    starts, folds = _draw_inputs(panel, config, bootstrap.seed, range(bootstrap.n_replicates))
 
     def statistic(counts, draws) -> np.ndarray:
-        return _cmp_contrasts(panel, counts, config, lambda stream: [child_seed(bootstrap.seed, stream, b)
-                                                                     for b in draws])
+        rows = slice(draws.start, draws.stop)
+        return _cmp_contrasts(panel, counts, config, None if starts is None else starts[rows],
+                              None if folds is None else folds[rows])
 
     return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, statistic)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import check_count, check_flag, check_real
-from .rng import substream
+from .rng import substreams
 
 # Log-spaced default grid; bench preset files restate it so it stays visible.
 DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.logspace(-6, 3, 10))
@@ -207,12 +207,19 @@ def predict(model: RidgeModel | KernelRidgeModel, X_new) -> np.ndarray:
     return gram_matrix(X_new, model.x_train, model.kernel, model.bandwidth) @ model.dual_coefficients
 
 
-def fold_assignments(n: int, k_folds: int, seed: int) -> np.ndarray:
-    """Deterministic balanced fold index per row, derived from the seed."""
-    perm = substream(seed, "cv-folds").permutation(n)
-    folds = np.empty(n, dtype=int)
-    folds[perm] = np.arange(n) % k_folds
+def fold_assignments(n: int, k_folds: int, seeds) -> np.ndarray:
+    """Deterministic balanced fold index per row (len(seeds), n), one row per seed, each a permutation drawn
+    from the seed's "cv-folds" stream; the streams of all seeds are derived in one batch."""
+    folds = np.empty((len(seeds), n), dtype=int)
+    for row, rg in zip(folds, substreams(seeds, "cv-folds")):
+        row[rg.permutation(n)] = np.arange(n) % k_folds
     return folds
+
+
+def learner_folds(config: "LearnerConfig", n: int, seeds) -> np.ndarray | None:
+    """The folds `fit_learner` cross-validates n rows on, one row per seed; None when the grid has one value,
+    which needs no CV."""
+    return fold_assignments(n, min(config.cv_folds, n), seeds) if len(config.lambda_grid) > 1 else None
 
 
 def cross_validate(
@@ -237,7 +244,7 @@ def cross_validate(
         raise ValueError("k_folds must be >= 2")
     n = len(X)
     if folds is None:
-        folds = fold_assignments(n, k_folds, seed)
+        folds = fold_assignments(n, k_folds, [seed])[0]
     if min(np.bincount(folds, minlength=k_folds)) < 1:
         raise ValueError("every fold needs at least one sample")
 
@@ -288,13 +295,11 @@ def _ridge_cv_errors(rows: RidgeRows, grid: list[float], folds: np.ndarray, k_fo
     return fold_errs.mean(axis=-2)
 
 
-def cv_lambdas(rows: RidgeRows, config: "LearnerConfig", seeds) -> np.ndarray:
+def cv_lambdas(rows: RidgeRows, config: "LearnerConfig", folds: np.ndarray) -> np.ndarray:
     """The lam `fit_learner` picks for each ridge problem of the prepared rows (X[b] (n, d), y[b]) when the
-    grid has several values: cross-validated on folds from `seeds[b]`, in one stacked solve over problems,
-    folds and grid."""
-    n = rows.X.shape[-2]
-    k_folds = min(config.cv_folds, n)
-    folds = np.stack([fold_assignments(n, k_folds, seed) for seed in seeds])
+    grid has several values: cross-validated on `folds[b]` (`learner_folds` of b's seed), in one stacked
+    solve over problems, folds and grid."""
+    k_folds = min(config.cv_folds, rows.X.shape[-2])
     grid = sorted(config.lambda_grid)
     return np.asarray(grid)[_best_lambda_index(_ridge_cv_errors(rows, grid, folds, k_folds))]
 

@@ -10,8 +10,9 @@ definition, computed per draw from that draw's count row over the dataset's
 rows (`count_features`), while its subpopulation moments reduce each
 subpopulation's own rows. The single-problem `ridge_fit` likewise solves
 the normal equations the package's way, from summed row outer products.
-Kernel ridge, fold assignment, exposures and pre/post arrays come from the
-package unchanged.
+Kernel ridge, exposures and pre/post arrays come from the package unchanged;
+every stream, seed and fold comes from numpy's own SeedSequence
+(`reference_rng`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from interference_lab.est_network import counterfactual_exposures, exposure_matr
 from interference_lab.regress import (
     DegenerateDesignError,
     RidgeModel,
-    fold_assignments,
     kernel_ridge_fit,
     median_bandwidth,
     predict,
 )
-from interference_lab.rng import child_seed, substream
+
+from reference_rng import child_seed, fold_assignments, substream
 
 N_BASELINE_BINS = 4
 

@@ -9,8 +9,9 @@ units, and takes the difference; replicates are averaged.
 import numpy as np
 
 from interference_lab.core import AllocationScenario, BipartiteGraph, TreatmentPanel
-from interference_lab.rng import child_seed
 from interference_lab.sim import DgpParams, simulate_outcomes
+
+from reference_rng import child_seed
 
 
 def constant_panel(allocation: AllocationScenario, n_units: int, n_periods: int) -> TreatmentPanel:

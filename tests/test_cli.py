@@ -5,7 +5,8 @@ import pytest
 from interference_lab.bench import run_scenario, scenario_from_dict, simulate_scenario_dataset
 from interference_lab.cli import cli_main, load_scenario_configs
 from interference_lab.dataio import save_dataset
-from interference_lab.rng import child_seed
+
+from reference_rng import child_seed
 
 TINY_SCENARIO = {
     "name": "cli_tiny",

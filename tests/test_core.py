@@ -17,10 +17,11 @@ from interference_lab.core import (
     datasets_equal,
     validate_dataset,
 )
-from interference_lab.rng import substream
+from interference_lab.rng import substreams
 
 from conftest import small_dataset, small_graph
 from reference_oracle import constant_panel
+from reference_rng import substream
 
 
 def test_valid_dataset_has_no_violations(dataset):
@@ -270,11 +271,12 @@ def test_bootstrap_without_valid_takes_one_draw_per_replicate(monkeypatch):
 
     streams = []
 
-    def counting_substream(*path):
-        streams.append(CountingGenerator(substream(*path)))
-        return streams[-1]
+    def counting_substreams(*path):
+        new = [CountingGenerator(rg) for rg in substreams(*path)]
+        streams.extend(new)
+        return new
 
-    monkeypatch.setattr(core, "substream", counting_substream)
+    monkeypatch.setattr(core, "substreams", counting_substreams)
     seen = {}
 
     def statistic(counts, draws):

@@ -25,8 +25,9 @@ from interference_lab.est_cmp import (
     network_bootstrap,
 )
 from interference_lab.regress import LearnerConfig, RidgeModel, predict
-from interference_lab.rng import substream
 from interference_lab.sim import DgpParams, GraphParams, RolloutParams, generate_graph, simulate_experiment
+
+from reference_rng import substream
 
 TINY = LearnerConfig(lambda_grid=(1e-8, 1e-6))
 

@@ -12,12 +12,15 @@ from interference_lab.regress import (
     fold_assignments,
     gram_matrix,
     kernel_ridge_fit,
+    learner_folds,
     median_bandwidth,
     predict,
     ridge_fit,
     ridge_rows,
     weighted_ridge,
 )
+
+import reference_rng
 
 
 def ridge_oracle(X, y, lam, center=True):
@@ -158,12 +161,34 @@ def test_cross_validate_permutation_stability():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(30, 3))
     y = X @ np.array([1.0, 0.5, -0.5]) + rng.normal(size=30)
-    folds = fold_assignments(30, 5, seed=4)
+    folds = reference_rng.fold_assignments(30, 5, 4)
     grid = [1e-6, 1e-3, 1.0]
     baseline = cross_validate(X, y, grid, k_folds=5, folds=folds)
     perm = rng.permutation(30)
     permuted = cross_validate(X[perm], y[perm], grid, k_folds=5, folds=folds[perm])
     assert baseline == permuted
+
+
+@pytest.mark.parametrize("n_seeds", [0, 1, 3, 40])
+def test_fold_assignments_batch_matches_one_seed_folds(n_seeds):
+    seeds = [-1, 0, 2**32, 2**64 - 1] + list(range(5, 5 + n_seeds))
+    seeds = seeds[:n_seeds]
+    folds = fold_assignments(13, 4, np.array(seeds, dtype=object))
+    assert folds.shape == (n_seeds, 13)
+    for row, seed in zip(folds, seeds):
+        np.testing.assert_array_equal(row, reference_rng.fold_assignments(13, 4, seed))
+    np.testing.assert_array_equal(learner_folds(LearnerConfig(cv_folds=20), 13, seeds), fold_assignments(13, 13, seeds))
+    assert learner_folds(LearnerConfig(lambda_grid=(1.0,)), 13, seeds) is None  # one grid value: no CV
+
+
+def test_cross_validate_uses_the_seed_folds():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(25, 2))
+    y = X @ np.array([1.0, -2.0]) + rng.normal(size=25)
+    grid = list(np.logspace(-6, 2, 9))
+    for seed in (0, 7, -3):
+        folds = reference_rng.fold_assignments(25, 5, seed)
+        assert cross_validate(X, y, grid, k_folds=5, seed=seed) == cross_validate(X, y, grid, k_folds=5, folds=folds)
 
 
 def test_cross_validate_rejects_empty_folds():
@@ -235,7 +260,7 @@ def test_batched_cross_validate_matches_ridge_fit_loop(center):
             X[:, -1] = X[:, 0] + 1e-3 * rng.normal(size=n)
         y = X @ rng.normal(size=d) + rng.uniform(0.0, 2.0) * rng.normal(size=n) + rng.normal()
         grid = sorted(float(v) for v in np.logspace(-8, 3, int(rng.integers(2, 11))))
-        folds = fold_assignments(n, k, seed)
+        folds = reference_rng.fold_assignments(n, k, seed)
         want = loop_cv_errors(X, y, grid, folds, center=center)
         got = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, k)
         # the two routes round differently; a solve's relative error grows with the condition number
@@ -250,7 +275,7 @@ def test_batched_cross_validate_exact_tie_matches_loop(center):
     X = np.arange(12.0).reshape(-1, 2)
     y = np.zeros(6)  # every lam predicts zero exactly: all errors tie
     grid = [1e-3, 0.1, 1.0, 10.0]
-    folds = fold_assignments(6, 3, seed=5)
+    folds = reference_rng.fold_assignments(6, 3, 5)
     errs = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, 3)
     assert errs.tolist() == loop_cv_errors(X, y, grid, folds, center=center)
     assert len(set(errs.tolist())) == 1
@@ -262,7 +287,7 @@ def test_batched_cross_validate_rank_deficient_lam_zero():
     x = rng.normal(size=(20, 1))
     X = np.hstack([x, 2.0 * x])  # duplicate direction: singular at lam=0
     y = rng.normal(size=20)
-    folds = fold_assignments(20, 4, seed=1)
+    folds = reference_rng.fold_assignments(20, 4, 1)
     with pytest.raises(DegenerateDesignError, match="rank-deficient"):
         loop_cv_errors(X, y, [0.0, 1.0], folds)
     with pytest.raises(DegenerateDesignError, match="rank-deficient"):
