@@ -14,11 +14,12 @@ mean path is propagated.
 
 Every step works on a batch of count rows (how often each unit is drawn):
 the estimate is the batch of one all-ones row, and the bootstrap scores a
-chunk of resamples at once. A resample's moments are count-weighted sums of
-rows built once per estimate, the powers of each outcome's deviation from its
-period's full-sample mean, so no resample is gathered; only the subpopulations
-pooled on short panels reduce their gathered outcome rows. Each draw's
-features, fit and recursion are the same whichever chunk holds it.
+chunk of resamples at once. The moments of any multiset of units (a
+resample, or a subpopulation pooled on short panels) come from sums of rows
+built once per estimate, the powers of each outcome's deviation from its
+period's full-sample mean: a resample weights them by its counts, and a
+subpopulation adds up the columns of its copies. Each draw's features, fit and
+recursion are the same whichever chunk holds it.
 """
 
 from __future__ import annotations
@@ -64,15 +65,13 @@ class StateFeatures:
 
 @dataclass(frozen=True, eq=False)
 class _Panel:
-    """A dataset's outcome rows (T+1, n) and 0/1 treatment rows (T, n) by period, with what the deal reads.
+    """What the moments and the deal read of a dataset.
 
-    `period_means` holds each period's full-sample mean ȳ and `sum_rows` the read-only ((order + 1) * (T + 1), n)
-    block that the full-resample moments weight by counts: the powers (y - ȳ)^k for k = 1..order, then the
-    treatment rows zero-padded to T + 1.
+    `period_means` holds each period's full-sample mean ȳ (T + 1,) and `sum_rows` the read-only
+    ((order + 1) * (T + 1), n) block whose sums give every moment: the powers (y - ȳ)^k for k = 1..order, then
+    the treatment rows zero-padded to T + 1.
     """
 
-    outcomes: np.ndarray
-    treatments: np.ndarray
     moment_order: int
     baseline_order: np.ndarray
     stage: np.ndarray
@@ -81,7 +80,7 @@ class _Panel:
 
     @property
     def n_periods(self) -> int:
-        return len(self.treatments)
+        return len(self.period_means) - 1
 
 
 def _panel(d: ExperimentDataset, moment_order: int) -> _Panel:
@@ -91,18 +90,15 @@ def _panel(d: ExperimentDataset, moment_order: int) -> _Panel:
     if T < 2:
         raise ValueError(f"need at least 2 transitions, got T={T}")
     outcomes = np.ascontiguousarray(d.outcomes.outcomes.T)
-    treatments = np.ascontiguousarray(d.treatments.assignments.T)
     period_means = outcomes.mean(axis=1)
     sum_rows = np.zeros((moment_order + 1, T + 1, d.n_units))
     np.subtract(outcomes, period_means[:, None], out=sum_rows[0])
     for k in range(1, moment_order):
         np.multiply(sum_rows[k - 1], sum_rows[0], out=sum_rows[k])
-    sum_rows[-1, :T] = treatments
+    sum_rows[-1, :T] = d.treatments.assignments.T
     sum_rows = sum_rows.reshape(-1, d.n_units)
     sum_rows.setflags(write=False)
     return _Panel(
-        outcomes=outcomes,
-        treatments=treatments,
         moment_order=moment_order,
         baseline_order=np.argsort(d.outcomes.outcomes[:, 0], kind="stable"),
         stage=_adoption_stage(d.treatments.assignments),
@@ -111,26 +107,17 @@ def _panel(d: ExperimentDataset, moment_order: int) -> _Panel:
     )
 
 
-def _feature_rows(moments: np.ndarray, p_next: np.ndarray):
-    """(table, targets, baseline mean, final moments) of each group from its per-period moments
-    (G, T + 1, order) and next-period treated fractions (G, T)."""
-    means = moments[..., 0]
-    table = np.concatenate([moments[:, :-1], p_next[..., None], (means[:, :-1] * p_next)[..., None]], axis=-1)
-    return table, means[:, 1:], means[:, 0], moments[:, -1]
+def _sum_features(panel: _Panel, sums: np.ndarray):
+    """(table, targets, baseline mean, final moments) of each multiset of units from the mean of its copies'
+    `sum_rows` columns, one row each (G, (order + 1) * (T + 1)).
 
-
-def _count_features(panel: _Panel, counts: np.ndarray):
-    """`_feature_rows` of each count row's full resample (m, n), without building the resample.
-
-    One einsum weights the panel's `sum_rows` by the counts: per period the power sums r_k, the count-weighted
-    mean of (y - ȳ)^k, and the treated fraction. The mean is ȳ + r_1 and the central moments are the binomial
-    expansion about that shift, E[(y - ȳ - r_1)^k] = Σ_j C(k, j) r_j (-r_1)^(k-j) with r_0 = 1; an even one
-    that rounds below 0 (a resample with no spread in a period) is 0. A row's values do not depend on the
-    other rows.
+    Per period, that mean holds the power sums r_k, the multiset's mean of (y - ȳ)^k, and the treated
+    fraction. The mean is ȳ + r_1 and the central moments are the binomial expansion about that shift,
+    E[(y - ȳ - r_1)^k] = Σ_j C(k, j) r_j (-r_1)^(k-j) with r_0 = 1; an even one that rounds below 0 (a
+    multiset with no spread in a period) is 0. A row's values do not depend on the other rows.
     """
-    m, n = counts.shape
-    sums = np.einsum("gn,jn->gj", counts.astype(float), panel.sum_rows).reshape(m, panel.moment_order + 1, -1) / n
-    r = sums[:, :-1].swapaxes(1, 2)  # (m, T + 1, order): r_1..r_order
+    sums = sums.reshape(len(sums), panel.moment_order + 1, -1)
+    r = sums[:, :-1].swapaxes(1, 2)  # (G, T + 1, order): r_1..r_order
     minus_r1 = -r[..., 0]
     moments = np.empty_like(r)
     moments[..., 0] = panel.period_means - minus_r1
@@ -139,31 +126,32 @@ def _count_features(panel: _Panel, counts: np.ndarray):
         for j in range(1, k + 1):
             central = central + math.comb(k, j) * r[..., j - 1] * minus_r1 ** (k - j)
         moments[..., k - 1] = np.maximum(central, 0.0) if k % 2 == 0 else central
-    return _feature_rows(moments, sums[:, -1, :-1])
+    means, p_next = moments[..., 0], sums[:, -1, :-1]
+    table = np.concatenate([moments[:, :-1], p_next[..., None], (means[:, :-1] * p_next)[..., None]], axis=-1)
+    return table, means[:, 1:], means[:, 0], moments[:, -1]
 
 
-def _group_features(panel: _Panel, rows: np.ndarray):
-    """`_feature_rows` of each group of units `rows` (G, L): a subpopulation of a resample, with its units in
-    row order.
+def _count_features(panel: _Panel, counts: np.ndarray):
+    """`_sum_features` of each count row's full resample (m, n): one einsum weights `sum_rows` by the counts,
+    so the resample is never built."""
+    return _sum_features(panel, np.einsum("gn,jn->gj", counts.astype(float), panel.sum_rows) / counts.shape[1])
 
-    Per period, the moments are the mean and the central moments 2..order of the group's outcomes, each
-    reduced along the group's own contiguous row, in blocks of groups of about CHUNK_BYTES.
+
+def _subpopulation_features(panel: _Panel, members: np.ndarray, sizes: np.ndarray):
+    """`_sum_features` of each subpopulation of `_deal`'s partitions (members (m, n), sizes (m, k)), one row per
+    (resample, subpopulation): it adds up the `sum_rows` columns of its copies, gathered in blocks of whole
+    subpopulations of about CHUNK_BYTES. Every subpopulation has copies, so no `reduceat` group is empty.
     """
-    G, L = rows.shape
-    moments = np.empty((G, panel.n_periods + 1, panel.moment_order))
-    p_next = np.empty((G, panel.n_periods))
-    block = max(1, CHUNK_BYTES // (8 * L * (panel.n_periods + 1)))
-    for lo in range(0, G, block):
-        group = rows[lo:lo + block]
-        by_period = panel.outcomes.take(group, axis=1)  # (T + 1, groups, L), rows contiguous
-        means = by_period.mean(axis=-1)
-        stats = [means]
-        if panel.moment_order >= 2:
-            centered = np.subtract(by_period, means[..., None], out=by_period)
-            stats.extend((centered**k).mean(axis=-1) for k in range(2, panel.moment_order + 1))
-        moments[lo:lo + block] = np.stack(stats, axis=-1).swapaxes(0, 1)
-        p_next[lo:lo + block] = panel.treatments.take(group, axis=1).sum(axis=-1).T / L
-    return _feature_rows(moments, p_next)
+    copies, sizes = members.ravel(), sizes.ravel()
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    sums = np.empty((len(sizes), len(panel.sum_rows)))
+    block = max(1, CHUNK_BYTES // (8 * len(panel.sum_rows) * sizes.max()))
+    for lo in range(0, len(sizes), block):
+        group = slice(lo, lo + block)
+        columns = panel.sum_rows.take(copies[first[lo]:ends[group][-1]], axis=1)
+        sums[group] = np.add.reduceat(columns, first[group] - first[lo], axis=1).T
+    return _sum_features(panel, sums / sizes[:, None])
 
 
 def build_features(d: ExperimentDataset, moment_order: int = 2) -> StateFeatures:
@@ -289,7 +277,7 @@ def _check_partition(n: int, n_subpopulations: int) -> None:
 
 def _deal(counts: np.ndarray, baseline_order: np.ndarray, stage: np.ndarray, starts, n_subpopulations: int):
     """The `network_bootstrap` partition of each count row's resample: the unit of every resampled copy,
-    in baseline-rank order (m, n), and its subpopulation (m, n).
+    grouped by subpopulation and in unit order within one (m, n), and each subpopulation's size (m, k).
 
     Copies ordered by (baseline, unit) are the resample's stable baseline ranking, so a copy's rank is its
     position and the deal order is a stable sort of that ranking by (quartile, stage).
@@ -300,7 +288,9 @@ def _deal(counts: np.ndarray, baseline_order: np.ndarray, stage: np.ndarray, sta
     order = np.argsort(quartile * (stage.max() + 1) + stage[units], axis=1, kind="stable")
     labels = np.empty((m, n), dtype=np.intp)
     np.put_along_axis(labels, order, (np.asarray(starts)[:, None] + np.arange(n)) % n_subpopulations, axis=1)
-    return units, labels
+    members = np.sort(labels * n + units, axis=1) % n
+    cells = (np.arange(m)[:, None] * n_subpopulations + labels).ravel()
+    return members, np.bincount(cells, minlength=m * n_subpopulations).reshape(m, n_subpopulations)
 
 
 def _deal_starts(seeds, n_subpopulations: int) -> np.ndarray:
@@ -319,13 +309,11 @@ def network_bootstrap(d: ExperimentDataset, n_subpopulations: int, seed: int) ->
     outcome-level and treatment-timing marginals.
     """
     _check_partition(d.n_units, n_subpopulations)
-    units, labels = _deal(
+    members, sizes = _deal(
         np.ones((1, d.n_units), dtype=np.int64), np.argsort(d.outcomes.outcomes[:, 0], kind="stable"),
         _adoption_stage(d.treatments.assignments), _deal_starts([seed], n_subpopulations), n_subpopulations,
     )
-    label = np.empty(d.n_units, dtype=np.intp)
-    label[units[0]] = labels[0]
-    return [subset_dataset(d, np.flatnonzero(label == j)) for j in range(n_subpopulations)]
+    return [subset_dataset(d, rows) for rows in np.split(members[0], np.cumsum(sizes[0])[:-1])]
 
 
 def subset_dataset(d: ExperimentDataset, rows: np.ndarray) -> ExperimentDataset:
@@ -375,24 +363,14 @@ def _training_features(panel: _Panel, counts: np.ndarray, config: CmpConfig, sta
     full-population rows are preferred because residual level differences
     across subpopulations would leak into the carryover coefficient.
     """
-    m, n = counts.shape
-    table, targets, baseline, final = _count_features(panel, counts)
-    T, k = panel.n_periods, config.n_subpopulations
+    full = _count_features(panel, counts)
     if not _pools(panel):
-        return table, targets, baseline, final
-    _check_partition(n, k)
-    units, labels = _deal(counts, panel.baseline_order, panel.stage, starts, k)
-    # Each subpopulation's units in row order: sorted.
-    members = np.sort(labels * n + units, axis=1) % n
-    sizes = np.bincount((np.arange(m)[:, None] * k + labels).ravel(), minlength=m * k).reshape(m, k)
-    first = np.cumsum(sizes, axis=1) - sizes
-    sub_table = np.empty((m, k) + table.shape[1:])
-    sub_targets = np.empty((m, k, T))
-    for size in np.unique(sizes):  # the deal gives at most two sizes
-        b, j = np.nonzero(sizes == size)
-        rows = members[b[:, None], first[b, j][:, None] + np.arange(size)]
-        sub_table[b, j], sub_targets[b, j] = _group_features(panel, rows)[:2]
-    return sub_table.reshape(m, k * T, -1), sub_targets.reshape(m, k * T), baseline, final
+        return full
+    m, n = counts.shape
+    _check_partition(n, config.n_subpopulations)
+    table, targets = _subpopulation_features(
+        panel, *_deal(counts, panel.baseline_order, panel.stage, starts, config.n_subpopulations))[:2]
+    return table.reshape(m, -1, table.shape[-1]), targets.reshape(m, -1), *full[2:]
 
 
 def _draw_inputs(panel: _Panel, config: CmpConfig, seed: int, *draw) -> tuple:

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from interference_lab import est_cmp
 from interference_lab.core import (
     AllocationScenario,
     BootstrapConfig,
@@ -17,7 +19,10 @@ from interference_lab.est_cmp import (
     StateEvolutionModel,
     StateFeatures,
     _count_features,
+    _deal,
+    _deal_starts,
     _panel,
+    _training_features,
     build_features,
     counterfactual_evolution,
     estimate_tte_cmp,
@@ -445,6 +450,58 @@ def test_network_bootstrap_matches_round_robin_loop(seed):
         got = [s.covariates.values[:, 0].astype(int).tolist() for s in subs]
         assert got == loop_partition(d, k, seed)
 
+
+
+@pytest.mark.parametrize("n_eligible, k, seed", [(97, 10, 0), (100, 4, 1), (61, 3, 2)])
+def test_pooled_subpopulations_are_the_network_bootstrap_partition(n_eligible, k, seed):
+    """For the all-ones count row the pooled path's subpopulations are `network_bootstrap`'s, and their
+    transition rows are `build_features` of those subsets."""
+    d = simulate_experiment(
+        GraphParams(n_eligible=n_eligible, n_connected=120, avg_degree=2.0),
+        DgpParams(sigma=0.5, baseline_sd=1.0),
+        RolloutParams((1, 3), (0.3, 0.6)),
+        T=5,
+        seed=50 + seed,
+    )
+    n, T = d.n_units, d.n_periods
+    d = dataclasses.replace(d, covariates=UnitCovariates(np.arange(n, dtype=float)[:, None]))
+    panel, ones, starts = _panel(d, 2), np.ones((1, n), dtype=np.int64), _deal_starts([seed], k)
+    members, sizes = _deal(ones, panel.baseline_order, panel.stage, starts, k)
+    subs = network_bootstrap(d, k, seed)
+    assert [s.covariates.values[:, 0].astype(int).tolist() for s in subs] == [
+        units.tolist() for units in np.split(members[0], np.cumsum(sizes[0])[:-1])]
+    table, targets, _, _ = _training_features(panel, ones, CmpConfig(n_subpopulations=k), starts)
+    for j, s in enumerate(subs):
+        f = build_features(s, 2)
+        np.testing.assert_allclose(table[0, j * T:(j + 1) * T], f.table, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(targets[0, j * T:(j + 1) * T], f.targets, rtol=1e-12)
+
+
+def test_pooled_features_gather_in_bounded_blocks(monkeypatch):
+    """One 16-draw chunk at N=1000, T=12 (pooled) traces under 2 MiB: its (order + 1)(T + 1) x 16 000 gather of
+    `sum_rows` columns would be 5 MB in one piece. The block size does not change a bit of the result."""
+    d = simulate_experiment(
+        GraphParams(n_eligible=1000, n_connected=1500, avg_degree=3.0),
+        DgpParams(sigma=1.0, baseline_mean=10.0, baseline_sd=2.0),
+        RolloutParams((3, 5), (0.3, 0.6)),
+        T=12,
+        seed=9,
+    )
+    panel, config = _panel(d, 2), CmpConfig()
+    rng = np.random.default_rng(0)
+    counts = np.stack([np.bincount(rng.integers(0, d.n_units, d.n_units), minlength=d.n_units) for _ in range(16)])
+    starts = rng.integers(0, config.n_subpopulations, 16)
+    tracemalloc.start()
+    try:
+        table = _training_features(panel, counts, config, starts)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (16, config.n_subpopulations * 12, 4)
+    assert peak <= 2 << 20
+    for block_bytes in (1, 1 << 30):  # one subpopulation per block, and the whole chunk in one
+        monkeypatch.setattr(est_cmp, "CHUNK_BYTES", block_bytes)
+        np.testing.assert_array_equal(_training_features(panel, counts, config, starts)[0], table)
 
 def loop_moments(values, order):
     """Reference for `build_features`: the moments of one period's column."""

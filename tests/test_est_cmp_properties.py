@@ -1,62 +1,124 @@
-"""Property test of cmp's count-weighted resample moments against the moments of the gathered resample rows."""
+"""Property tests of cmp's moments from power sums: the full resample's and each pooled subpopulation's must
+match the mean and central moments of their gathered outcome rows."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from interference_lab.core import ExperimentDataset, OutcomePanel, TreatmentPanel  # noqa: E402
-from interference_lab.est_cmp import _count_features, _group_features, _panel  # noqa: E402
+from interference_lab.est_cmp import CmpConfig, _count_features, _deal, _panel, _training_features  # noqa: E402
 
 EPS = np.finfo(float).eps
 
 
-@st.composite
-def resampled_panels(draw):
-    """A random panel (n, T + 1), a moment order and count rows (m, n) that sum to n, zeros included."""
-    n = draw(st.integers(2, 30))
-    T = draw(st.integers(2, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    offset = draw(st.sampled_from([0.0, -3.5, 1e6]))
-    y = offset + draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((n, T + 1))
-    constant = draw(st.integers(-1, T))
+def make_panel(n, T, seed, offset, scale, constant):
+    """A random dataset of n units and T + 1 periods at a level offset, with period `constant` (if >= 0) set to
+    offset + 0.1."""
+    rng = np.random.default_rng(seed)
+    y = offset + scale * rng.standard_normal((n, T + 1))
     if constant >= 0:  # 0.1 has no exact binary form, so its mean rounds away from it
         y[:, constant] = offset + 0.1
     assignments = rng.integers(0, 2, size=(n, T)).astype(np.int8)
-    d = ExperimentDataset(OutcomePanel(y), TreatmentPanel(assignments, design_tag="free"), pre_period_end=0)
+    return ExperimentDataset(OutcomePanel(y), TreatmentPanel(assignments, design_tag="free"), pre_period_end=0)
+
+
+def random_panel(draw, n):
+    """A random panel of n units and T + 1 <= 6 periods, at a level offset of 0, -3.5 or 1e6, with maybe a
+    constant period."""
+    T = draw(st.integers(2, 5))
+    return make_panel(n, T, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, -3.5, 1e6])),
+                      draw(st.sampled_from([1e-3, 1.0, 1e3])), draw(st.integers(-1, T)))
+
+
+def count_rows(draw, n):
+    """Count rows (m, n) that sum to n, zeros included."""
     # A resample of one unit drawn n times has no spread, and its r_2 - r_1^2 can round below 0.
     draw_units = st.one_of(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
                            st.integers(0, n - 1).map(lambda unit: [unit] * n))
-    draws = st.lists(draw_units, min_size=1, max_size=4)
-    counts = np.array([np.bincount(units, minlength=n) for units in draw(draws)])
-    return d, draw(st.integers(1, 3)), counts
+    return np.array([np.bincount(units, minlength=n) for units in draw(st.lists(draw_units, min_size=1, max_size=4))])
 
 
-def moments_of(features, order):
-    """Per-period moments (m, T + 1, order) and next-period treated fractions (m, T) of `_feature_rows`."""
-    table, _, _, final = features
-    return np.concatenate([table[..., :order], final[:, None]], axis=1), table[..., order]
+@st.composite
+def resampled_panels(draw):
+    """A random panel, a moment order and count rows."""
+    n = draw(st.integers(2, 30))
+    return random_panel(draw, n), draw(st.integers(1, 3)), count_rows(draw, n)
+
+
+@st.composite
+def partitioned_panels(draw):
+    """A random panel, a moment order, a subpopulation count k, count rows and one deal start per row; n is
+    2k (the smallest partition) or any size up to 30, so that k often does not divide it."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.one_of(st.just(2 * k), st.integers(2 * k, 30)))
+    counts = count_rows(draw, n)
+    starts = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(counts), max_size=len(counts))))
+    return random_panel(draw, n), draw(st.integers(1, 3)), k, counts, starts
+
+
+def gathered_moments(d, rows, order):
+    """Per-period mean and central moments 2..order (T + 1, order) of the outcome rows `rows`, and the
+    next-period treated fractions (T,)."""
+    y = d.outcomes.outcomes[rows]
+    mean = y.mean(axis=0)
+    moments = [mean] + [((y - mean) ** k).mean(axis=0) for k in range(2, order + 1)]
+    return np.stack(moments, axis=-1), d.treatments.assignments[rows].mean(axis=0)
+
+
+def assert_moments_close(d, got, want, periods=slice(None)):
+    """Moments (..., periods, order) within 1e-12 relative to the period's spread s, plus what rounding a sum of n
+    values of the period's level can move: u in the mean, and k s^(k-1) u in the k-th central moment. Even
+    central moments are never negative."""
+    assert (got[..., 1::2] >= 0).all()
+    y = d.outcomes.outcomes[:, periods]
+    spread = np.abs(y - y.mean(axis=0)).max(axis=0)
+    u = d.n_units * EPS * np.abs(y).max(axis=0)
+    for k in range(1, got.shape[-1] + 1):
+        scale = spread + u
+        tol = 1e-12 * scale**k + k * scale ** (k - 1) * u
+        assert (np.abs(got[..., k - 1] - want[..., k - 1]) <= tol).all(), f"moment {k}"
 
 
 @settings(max_examples=150, deadline=2000)
 @given(resampled_panels())
 def test_count_weighted_moments_match_the_gathered_rows(case):
     d, order, counts = case
+    table, _, _, final = _count_features(_panel(d, order), counts)
+    for row in range(len(counts)):
+        want, want_p = gathered_moments(d, np.repeat(np.arange(d.n_units), counts[row]), order)
+        np.testing.assert_array_equal(table[row, :, order], want_p)
+        assert_moments_close(d, np.concatenate([table[row, :, :order], final[row, None]]), want)
+
+
+def fixed_partition(n, k, offset, constant, seed):
+    """A pooled case with a resample that skips units and one that draws a single unit n times."""
+    rng = np.random.default_rng(seed)
+    counts = np.stack([np.bincount(rng.integers(0, n, n), minlength=n), np.bincount([seed % n] * n, minlength=n)])
+    return make_panel(n, 4, seed, offset, 1.0, constant), 2, k, counts, rng.integers(0, k, 2)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(partitioned_panels())
+@example(fixed_partition(8, 4, 1e6, 2, seed=1))  # n = 2k, the 1e6 offset and a constant period
+@example(fixed_partition(23, 5, -3.5, -1, seed=2))  # n not divisible by k
+def test_pooled_subpopulation_moments_match_their_gathered_members(case):
+    d, order, k, counts, starts = case
+    n, T = d.n_units, d.n_periods
     panel = _panel(d, order)
-    n = d.n_units
-    rows = np.repeat(np.tile(np.arange(n), len(counts)), counts.ravel()).reshape(len(counts), n)
-    got, got_p = moments_of(_count_features(panel, counts), order)
-    want, want_p = moments_of(_group_features(panel, rows), order)
-    np.testing.assert_array_equal(got_p, want_p)
-    assert (got[..., 1::2] >= 0).all()  # even central moments
-    # 1e-12 relative to the period's spread s, plus what rounding a sum of n values of the period's level
-    # can move: u in the mean, and k s^(k-1) u in the k-th central moment.
-    y = d.outcomes.outcomes
-    spread = np.abs(y - y.mean(axis=0)).max(axis=0)
-    u = n * EPS * np.abs(y).max(axis=0)
-    for k in range(1, order + 1):
-        scale = spread + u
-        tol = 1e-12 * scale**k + k * scale ** (k - 1) * u
-        assert (np.abs(got[..., k - 1] - want[..., k - 1]) <= tol).all(), f"moment {k}"
+    members, sizes = _deal(counts, panel.baseline_order, panel.stage, starts, k)
+    # The deal splits each resample's n copies into k subpopulations of at least 2 copies each.
+    assert (sizes >= 2).all() and (sizes.sum(axis=1) == n).all()
+    for row in range(len(counts)):
+        np.testing.assert_array_equal(np.bincount(members[row], minlength=n), counts[row])
+    table, targets, _, _ = _training_features(panel, counts, CmpConfig(moment_order=order, n_subpopulations=k),
+                                              starts)
+    for row in range(len(counts)):
+        for j, units in enumerate(np.split(members[row], np.cumsum(sizes[row])[:-1])):
+            want, want_p = gathered_moments(d, units, order)
+            transitions = slice(j * T, (j + 1) * T)
+            np.testing.assert_array_equal(table[row, transitions, order], want_p)
+            assert_moments_close(d, table[row, transitions, :order], want[:-1], slice(None, -1))
+            assert_moments_close(d, targets[row, transitions, None], want[1:, :1], slice(1, None))
