@@ -50,6 +50,8 @@ class NetworkSettings:
 
 @dataclass(frozen=True)
 class CmpSettings:
+    """cmp's scenario block. `n_subpopulations` is checked (>= 2) but read by no estimator code (`CmpConfig`)."""
+
     learner: LearnerConfig = CmpConfig.learner
     n_bootstrap: int = 500
     moment_order: int = 2

@@ -23,8 +23,7 @@ DESIGN_TAGS = ("staggered", "fixed", "free")
 METHODS = ("basic", "network_aware", "cmp")
 MAX_RESAMPLE_TRIES = 100
 # Bytes of one chunk's (draws, units) int64 count matrix in `bootstrap_estimate`: 16 draws of a thousand units,
-# few enough that a statistic's per-chunk arrays (cmp's deal holds several per copy) stay near a megabyte. cmp's
-# pooled subpopulations gather their moment columns in blocks of about this size too.
+# few enough that a statistic's per-chunk arrays stay near a megabyte.
 CHUNK_BYTES = 1 << 17
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 

@@ -3,12 +3,11 @@
 Kept as the reference the engine is checked against: same point, same
 interval ends within rounding, and the same error for the same failing
 input. Every draw is a sorted index resample; the estimator is refit on the
-resampled rows, with the per-dataset ridge, cross-validation, moment,
-partition and recursion code the estimators ran before. cmp's full-resample
-moments are the exception: they follow the package's count-weighted
-definition, computed per draw from that draw's count row over the dataset's
-rows (`count_features`), while its subpopulation moments reduce each
-subpopulation's own rows. The single-problem `ridge_fit` likewise solves
+resampled rows, with the per-dataset ridge, cross-validation, moment and
+recursion code the estimators ran before. cmp's resample moments are the
+exception: they follow the package's count-weighted definition, computed per
+draw from that draw's count row over the dataset's rows (`count_features`).
+The single-problem `ridge_fit` likewise solves
 the normal equations the package's way, from summed row outer products.
 Kernel ridge, exposures and pre/post arrays come from the package unchanged;
 every stream, seed and fold comes from numpy's own SeedSequence
@@ -23,7 +22,7 @@ import numpy as np
 
 from interference_lab.core import AllocationScenario, EffectEstimate, MAX_RESAMPLE_TRIES
 from interference_lab.est_basic import _has_variation, _pre_post_arrays
-from interference_lab.est_cmp import StateEvolutionModel, StateFeatures, _adoption_stage, subset_dataset
+from interference_lab.est_cmp import StateEvolutionModel, StateFeatures
 from interference_lab.est_network import counterfactual_exposures, exposure_matrix
 from interference_lab.regress import (
     DegenerateDesignError,
@@ -34,8 +33,6 @@ from interference_lab.regress import (
 )
 
 from reference_rng import child_seed, fold_assignments, substream
-
-N_BASELINE_BINS = 4
 
 
 def bootstrap_estimate(method, point, bootstrap, stream, n, statistic, valid=None) -> EffectEstimate:
@@ -194,21 +191,6 @@ def estimate_network(d, learner, bootstrap, weighted_exposures=False, seed=0) ->
 # --- cmp ------------------------------------------------------------------------------------------------
 
 
-def build_features(d, moment_order) -> StateFeatures:
-    """The moments of the dataset's own rows: what each subpopulation's transition rows are built from."""
-    T = d.n_periods
-    if T < 2:
-        raise ValueError(f"need at least 2 transitions, got T={T}")
-    by_period = np.ascontiguousarray(d.outcomes.outcomes.T)
-    p = d.treatments.treated_fraction()
-    means = by_period.mean(axis=1)
-    moments = [means]
-    if moment_order >= 2:
-        centered = by_period - means[:, None]
-        moments.extend((centered**k).mean(axis=1) for k in range(2, moment_order + 1))
-    return _features(np.column_stack(moments), p[1:])
-
-
 def count_features(d, counts, moment_order) -> StateFeatures:
     """The moments of the resample that draws unit i `counts[i]` times, as count-weighted sums over d's rows.
 
@@ -242,44 +224,26 @@ def count_features(d, counts, moment_order) -> StateFeatures:
 
 def _features(moment_rows, p_next) -> StateFeatures:
     means = moment_rows[:, 0]
-    table = np.column_stack([moment_rows[:-1], p_next, means[:-1] * p_next])
+    table = np.column_stack([moment_rows[:-1], p_next])
     return StateFeatures(table=table, targets=means[1:], baseline_mean=float(means[0]),
                          final_moments=moment_rows[-1])
 
 
-def network_bootstrap(d, n_subpopulations, seed):
-    n = d.n_units
-    if n < 2 * n_subpopulations:
-        raise ValueError(f"need N >= {2 * n_subpopulations} units for {n_subpopulations} subpopulations")
-    baseline = d.outcomes.outcomes[:, 0]
-    ranks = np.empty(n, dtype=int)
-    ranks[np.argsort(baseline, kind="stable")] = np.arange(n)
-    quartile = (ranks * N_BASELINE_BINS) // n
-    stage = _adoption_stage(d.treatments.assignments)
-    start = int(substream(seed, "deal-start").integers(n_subpopulations))
-    order = np.lexsort((np.arange(n), baseline, stage, quartile))
-    label = np.empty(n, dtype=int)
-    label[order] = (start + np.arange(n)) % n_subpopulations
-    return [subset_dataset(d, np.flatnonzero(label == j)) for j in range(n_subpopulations)]
-
-
 def fit_state_evolution(features, learner, seed) -> StateEvolutionModel:
     table = features.table
-    if len(table) < 2:
-        raise ValueError("need at least 2 transition rows to fit the state evolution")
-    center = features.baseline_mean
-    design = table.copy()
-    design[:, -1] = (table[:, 0] - center) * table[:, -2]
-    model = fit_learner(design, features.targets, learner, seed=seed)
-    return StateEvolutionModel(model=model, interaction_center=center, context_moments=features.final_moments)
+    if len(table) < table.shape[1] + 2:
+        order = table.shape[1] - 1
+        raise ValueError(f"cmp needs T >= {order + 3} transitions to fit its {order + 2} coefficients at moment "
+                         f"order {order}, got T={len(table)}")
+    model = fit_learner(table, features.targets, learner, seed=seed)
+    return StateEvolutionModel(model=model, context_moments=features.final_moments)
 
 
 def counterfactual_evolution(model, baseline_mean, allocation, T) -> np.ndarray:
     p = 1.0 if allocation is AllocationScenario.ALL_TREATED else 0.0
     coef, intercept = model.model.coefficients, model.model.intercept
-    slope = float(coef[0] + coef[-1] * p)
-    offset = float(intercept + coef[1:-2] @ model.context_moments[1:]
-                   + p * (coef[-2] - coef[-1] * model.interaction_center))
+    slope = float(coef[0])
+    offset = float(intercept + coef[1:-1] @ model.context_moments[1:] + p * coef[-1])
     means = [float(baseline_mean)]
     for t in range(1, T + 1):
         means.append(slope * means[-1] + offset)
@@ -288,23 +252,9 @@ def counterfactual_evolution(model, baseline_mean, allocation, T) -> np.ndarray:
     return np.array(means)
 
 
-def _training_features(d, rows, config, partition_seed) -> StateFeatures:
-    full = count_features(d, np.bincount(rows, minlength=d.n_units), config.moment_order)
-    if len(full.table) >= 3 * (full.table.shape[1] + 1):
-        return full
-    parts = [build_features(s, config.moment_order)
-             for s in network_bootstrap(subset_dataset(d, rows), config.n_subpopulations, partition_seed)]
-    return StateFeatures(
-        table=np.vstack([p.table for p in parts]),
-        targets=np.concatenate([p.targets for p in parts]),
-        baseline_mean=full.baseline_mean,
-        final_moments=full.final_moments,
-    )
-
-
-def _cmp_point(d, rows, config, partition_seed, fit_seed) -> float:
+def _cmp_point(d, rows, config, fit_seed) -> float:
     """The cmp contrast of the resample `rows` (sorted unit indices) of d."""
-    features = _training_features(d, rows, config, partition_seed)
+    features = count_features(d, np.bincount(rows, minlength=d.n_units), config.moment_order)
     model = fit_state_evolution(features, config.learner, fit_seed)
     T = d.n_periods
     treated = counterfactual_evolution(model, features.baseline_mean, AllocationScenario.ALL_TREATED, T)
@@ -313,11 +263,9 @@ def _cmp_point(d, rows, config, partition_seed, fit_seed) -> float:
 
 
 def estimate_tte_cmp(d, config, bootstrap) -> EffectEstimate:
-    point = _cmp_point(d, np.arange(d.n_units), config, child_seed(config.seed, "partition"),
-                       child_seed(config.seed, "fit"))
+    point = _cmp_point(d, np.arange(d.n_units), config, child_seed(config.seed, "fit"))
 
     def resampled_point(rows, b) -> float:
-        return _cmp_point(d, rows, config, child_seed(bootstrap.seed, "partition", b),
-                          child_seed(bootstrap.seed, "fit", b))
+        return _cmp_point(d, rows, config, child_seed(bootstrap.seed, "fit", b))
 
     return bootstrap_estimate("cmp", point, bootstrap, "cmp-boot", d.n_units, resampled_point)

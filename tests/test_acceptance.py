@@ -2,7 +2,8 @@
 
 The three shipped presets run once at full scale (R=200 replicates,
 N=1000 eligible units, T=20) and the per-criterion checks read the
-aggregated report. Expect a few minutes of wall time for this module.
+aggregated report; criterion 11 runs `upward_bias` once more on a short
+panel. Expect a few minutes of wall time for this module.
 """
 
 import dataclasses
@@ -235,3 +236,13 @@ def test_criterion_10_ci_coverage(preset_runs):
     rates = {m: sc["methods"][m]["coverage_rate"] for m in METHODS}
     ok = all(rate >= 0.88 for rate in rates.values())
     _report(10, ok, "95% CI coverage " + ", ".join(f"{m}={100 * r:.1f}%" for m, r in rates.items()))
+
+
+def test_criterion_11_short_panel():
+    """cmp fits its map on a short panel's own rows: `upward_bias` at T=8 and moment order 1."""
+    (cfg,) = load_scenario_configs("upward_bias")
+    cfg = dataclasses.replace(cfg, T=8, cmp=dataclasses.replace(cfg.cmp, moment_order=1))
+    s = run_scenario(cfg, jobs=2).scenarios[0]["methods"]["cmp"]
+    ok = abs(s["bias_mean"]) <= 3 * s["bias_se"] and s["coverage_rate"] >= 0.88 and s["n_failed"] == 0
+    _report(11, ok, f"cmp at T=8: bias {s['bias_mean']:+.4f} vs 3se {3 * s['bias_se']:.4f}, "
+                    f"coverage {100 * s['coverage_rate']:.1f}%, {s['n_failed']} failed")

@@ -38,7 +38,7 @@ TINY = LearnerConfig(lambda_grid=(1e-8, 1e-6))
 
 
 def preset_dataset(name, T, replicate=0, with_covariates=False, **graph):
-    """The preset's replicate at N=120 eligible units and T periods; T=12 makes cmp pool subpopulations."""
+    """The preset's replicate at N=120 eligible units and T periods."""
     (cfg,) = load_scenario_configs(name)
     small = dataclasses.replace(cfg.graph, n_eligible=120, n_ineligible=24, n_connected=180, **graph)
     cfg = dataclasses.replace(cfg, T=T, graph=small)

@@ -319,8 +319,8 @@ def test_preset_configs_load_by_name():
         assert cfg.name == name
 
 
-# Bench's optional paths: a cmp fit that reads both its partition and fit streams (T=6 pools subpopulations,
-# and the two-value lambda grid needs CV) and a network lambda grid that needs CV.
+# Bench's optional paths: a cmp fit that reads its fit stream (the two-value lambda grid needs CV) and a network
+# lambda grid that needs CV.
 # At seed 74 the CV picks a different lambda in both replicates when the
 # network fit seed takes an extra hop, so any seed drift between CLI and bench shows.
 PARITY_SCENARIO = dict(

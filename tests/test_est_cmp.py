@@ -1,10 +1,8 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from interference_lab import est_cmp
 from interference_lab.core import (
     AllocationScenario,
     BootstrapConfig,
@@ -19,10 +17,7 @@ from interference_lab.est_cmp import (
     StateEvolutionModel,
     StateFeatures,
     _count_features,
-    _deal,
-    _deal_starts,
     _panel,
-    _training_features,
     build_features,
     counterfactual_evolution,
     estimate_tte_cmp,
@@ -46,7 +41,7 @@ def panel_dataset(outcomes, assignments, design="free", pre_period_end=0):
 
 
 def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0)):
-    """Order-2 rows: (mean, var, p_next, mean_x_p_next)."""
+    """Order-2 rows: (mean, var, p_next)."""
     return StateFeatures(
         table=np.asarray(table, float),
         targets=np.asarray(targets, float),
@@ -58,7 +53,7 @@ def features_table(table, targets, baseline_mean, final_moments=(0.0, 0.0)):
 def test_build_features_constant_untreated_panel():
     d = panel_dataset(np.full((4, 4), 2.0), np.zeros((4, 3)))
     f = build_features(d)
-    assert f.table.shape[1] == 4  # mean, var, p_next, mean_x_p_next
+    assert f.table.shape[1] == 3  # mean, var, p_next
     np.testing.assert_allclose(f.table[:, 0], 2.0)
     np.testing.assert_allclose(f.table[:, 1], 0.0)
     np.testing.assert_allclose(f.table[:, 2], 0.0)
@@ -74,7 +69,7 @@ def test_build_features_two_unit_example():
     assert f.table[0, 0] == pytest.approx(2.0)  # mean
     assert f.table[0, 1] == pytest.approx(1.0)  # population variance
     assert f.table[0, 2] == pytest.approx(1.0)  # treated fraction at t=1
-    assert f.table[0, 3] == pytest.approx(2.0)  # interaction as stored
+    assert f.table.shape == (2, 3)
     assert f.targets[0] == pytest.approx(3.0)
 
 
@@ -101,7 +96,7 @@ def test_build_features_requires_two_transitions():
 def test_moment_order_three_adds_column():
     d = panel_dataset(np.random.default_rng(0).normal(size=(6, 4)), np.zeros((6, 3)))
     f = build_features(d, moment_order=3)
-    assert f.table.shape[1] == 5  # mean, var, m3, p_next, mean_x_p_next
+    assert f.table.shape[1] == 4  # mean, var, m3, p_next
 
 
 def test_fit_recovers_known_linear_map():
@@ -111,7 +106,7 @@ def test_fit_recovers_known_linear_map():
     for _ in range(20):
         p = float(rng.uniform())
         nxt = 0.5 * m + 1.0 * p
-        rows.append([m, 0.3, p, m * p])
+        rows.append([m, 0.3, p])
         targets.append(nxt)
         m = nxt
     f = features_table(rows, targets, baseline_mean=1.0)
@@ -119,13 +114,12 @@ def test_fit_recovers_known_linear_map():
     coef = model.model.coefficients
     assert coef[0] == pytest.approx(0.5, abs=1e-4)
     assert coef[2] == pytest.approx(1.0, abs=1e-4)
-    assert abs(coef[3]) < 1e-4
     assert model.model.intercept == pytest.approx(0.0, abs=1e-4)
 
 
 def test_zero_variance_target_gives_flat_model():
     rng = np.random.default_rng(5)
-    rows = [[rng.uniform(0, 4), 0.2, rng.uniform(), 0.0] for _ in range(12)]
+    rows = [[rng.uniform(0, 4), 0.2, rng.uniform()] for _ in range(12)]
     f = features_table(rows, [3.0] * 12, baseline_mean=2.0)
     model = fit_state_evolution(f, TINY)
     np.testing.assert_allclose(model.model.coefficients, 0.0, atol=1e-6)
@@ -138,25 +132,24 @@ def test_identity_dynamics_recovered():
     for level in (1.0, 2.0, 5.0):
         for _ in range(8):
             p = float(rng.uniform())
-            rows.append([level, 0.5, p, level * p])
+            rows.append([level, 0.5, p])
             targets.append(level)
     f = features_table(rows, targets, baseline_mean=2.0)
     model = fit_state_evolution(f, TINY)
     coef = model.model.coefficients
     assert coef[0] == pytest.approx(1.0, abs=1e-4)
-    assert abs(coef[2]) < 1e-4 and abs(coef[3]) < 1e-4
+    assert abs(coef[2]) < 1e-4
 
 
-def manual_model(coefficients, intercept, center=0.0, context=(0.0, 0.0)):
+def manual_model(coefficients, intercept, context=(0.0, 0.0)):
     return StateEvolutionModel(
         model=RidgeModel(np.asarray(coefficients, float), intercept, 0.0),
-        interaction_center=center,
         context_moments=np.asarray(context, float),
     )
 
 
 def test_identity_model_is_fixed_point():
-    model = manual_model([1.0, 0.0, 0.0, 0.0], 0.0)
+    model = manual_model([1.0, 0.0, 0.0], 0.0)
     for allocation in AllocationScenario:
         traj = counterfactual_evolution(model, 3.7, allocation, T=9)
         np.testing.assert_allclose(traj, 3.7)
@@ -164,7 +157,7 @@ def test_identity_model_is_fixed_point():
 
 def test_additive_treatment_model_accumulates():
     # f(m, p) = m + 0.5 p from m0=0: all-treated reaches 2.0 at T=4
-    model = manual_model([1.0, 0.0, 0.5, 0.0], 0.0)
+    model = manual_model([1.0, 0.0, 0.5], 0.0)
     traj = counterfactual_evolution(model, 0.0, AllocationScenario.ALL_TREATED, T=4)
     assert traj.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert not traj.flags.writeable
@@ -173,7 +166,7 @@ def test_additive_treatment_model_accumulates():
 
 
 def test_divergent_recursion_reports_period():
-    model = manual_model([1e300, 0.0, 0.0, 0.0], 0.0)
+    model = manual_model([1e300, 0.0, 0.0], 0.0)
     with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="period 2"):
         counterfactual_evolution(model, 1.0, AllocationScenario.ALL_TREATED, T=5)
 
@@ -197,7 +190,7 @@ def test_linear_state_evolution_matches_analytic_tte():
     assert validate_dataset(d) == []
     est = estimate_tte_cmp(
         d,
-        config=CmpConfig(n_subpopulations=4, learner=TINY, seed=1),
+        config=CmpConfig(learner=TINY, seed=1),
         bootstrap=BootstrapConfig(20, seed=2),
     )
     assert est.point == pytest.approx(analytic, abs=1e-3)
@@ -212,7 +205,7 @@ def test_zero_effect_data_estimates_zero():
         seed=23,
     )
     est = estimate_tte_cmp(
-        d, config=CmpConfig(n_subpopulations=5, learner=TINY, seed=3), bootstrap=BootstrapConfig(20, seed=4)
+        d, config=CmpConfig(learner=TINY, seed=3), bootstrap=BootstrapConfig(20, seed=4)
     )
     assert abs(est.point) < 1e-6
 
@@ -225,7 +218,7 @@ def test_graph_blindness_exact():
         T=8,
         seed=29,
     )
-    cfg = CmpConfig(n_subpopulations=5, learner=TINY, seed=7)
+    cfg = CmpConfig(learner=TINY, seed=7)
     bs = BootstrapConfig(30, seed=8)
     with_graph = estimate_tte_cmp(d, cfg, bs)
     without_graph = estimate_tte_cmp(dataclasses.replace(d, graph=None), cfg, bs)
@@ -336,7 +329,7 @@ def test_sign_agreement_with_network_across_spillover_signs(gamma):
     for rep in range(40):
         d = simulate_experiment(gp, dgp, rp, T=12, seed=6000 + rep, pre_period_end=1)
         cmp_pt = estimate_tte_cmp(
-            d, CmpConfig(n_subpopulations=6, learner=TINY, seed=1), BootstrapConfig(1, seed=2)
+            d, CmpConfig(learner=TINY, seed=1), BootstrapConfig(1, seed=2)
         ).point
         net_est, _ = estimate_network(
             d, learner=LearnerConfig(lambda_grid=(1e-8,)), bootstrap=BootstrapConfig(1, seed=2)
@@ -354,7 +347,7 @@ def test_estimate_tte_cmp_deterministic():
         T=8,
         seed=47,
     )
-    cfg = CmpConfig(n_subpopulations=5, learner=TINY, seed=2)
+    cfg = CmpConfig(learner=TINY, seed=2)
     a = estimate_tte_cmp(d, cfg, BootstrapConfig(25, seed=3))
     b = estimate_tte_cmp(d, cfg, BootstrapConfig(25, seed=3))
     assert a == b
@@ -362,43 +355,45 @@ def test_estimate_tte_cmp_deterministic():
 
 
 def test_one_value_lambda_grid_matches_cv_over_that_value():
-    # T=20 gives 20 transition rows for 4 feature columns, so cmp fits the full panel and does not pool.
-    d = simulate_experiment(
-        GraphParams(n_eligible=60, n_connected=90, avg_degree=2.0),
-        DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.4, baseline_mean=3.0, baseline_sd=1.0),
-        RolloutParams((2, 5), (0.3, 0.6)),
-        T=20,
-        seed=53,
-    )
-    bs = BootstrapConfig(25, seed=4)
+    """Short panels as well as long ones: with a one-value lambda grid no CV reads the config seed."""
+    for T in (6, 14, 20):
+        d = simulate_experiment(
+            GraphParams(n_eligible=60, n_connected=90, avg_degree=2.0),
+            DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.4, baseline_mean=3.0, baseline_sd=1.0),
+            RolloutParams((2, 5), (0.3, 0.6)),
+            T=T,
+            seed=53,
+        )
+        bs = BootstrapConfig(25, seed=4)
 
-    def estimate(grid, seed):
-        config = CmpConfig(n_subpopulations=5, learner=LearnerConfig(lambda_grid=grid), seed=seed)
-        return estimate_tte_cmp(d, config, bs)
+        def estimate(grid, seed):
+            config = CmpConfig(learner=LearnerConfig(lambda_grid=grid), seed=seed)
+            return estimate_tte_cmp(d, config, bs)
 
-    constant = estimate((1e-6,), seed=1)
-    assert constant == estimate((1e-6, 1e-6), seed=1)  # CV can only pick 1e-6
-    assert constant == estimate((1e-6,), seed=2)  # no CV folds and no partition read the seed
+        constant = estimate((1e-6,), seed=1)
+        assert constant == estimate((1e-6, 1e-6), seed=1)  # CV can only pick 1e-6
+        assert constant == estimate((1e-6,), seed=2)  # no CV folds read the seed
 
 
-@pytest.mark.parametrize("T, pools", [(14, True), (15, False)])
-def test_config_seed_is_read_only_where_the_panel_is_too_short_to_fit(T, pools):
-    """At moment order 2 the table has 4 columns, so cmp pools subpopulations when T < 3 * (4 + 1) = 15. With a
-    one-value lambda grid no CV reads the seed, so it changes the estimate only through the partition."""
-    d = simulate_experiment(
-        GraphParams(n_eligible=60, n_connected=90, avg_degree=2.0),
-        DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.4, baseline_mean=3.0, baseline_sd=1.0),
-        RolloutParams((2, 5), (0.3, 0.6)),
-        T=T,
-        seed=53,
-    )
-    bs = BootstrapConfig(10, seed=4)
-    one, other = (estimate_tte_cmp(d, CmpConfig(n_subpopulations=5, learner=LearnerConfig(lambda_grid=(1e-6,)),
-                                                seed=seed), bs) for seed in (1, 2))
-    if pools:
-        assert one.point != other.point
-    else:
-        assert one == other
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_panel_shorter_than_the_map_fails_with_a_named_error(order):
+    """The map has order + 2 coefficients, so it needs T >= order + 3 transition rows: T = order + 2 fails
+    with a ValueError that names T and the order, and T = order + 3 fits."""
+    def dataset(T):
+        return simulate_experiment(
+            GraphParams(n_eligible=40, n_connected=60, avg_degree=2.0),
+            DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=0.4, baseline_mean=3.0, baseline_sd=1.0),
+            RolloutParams((1, 2), (0.3, 0.6)),
+            T=T,
+            seed=57,
+        )
+
+    config, bs = CmpConfig(moment_order=order, learner=TINY, seed=1), BootstrapConfig(10, seed=2)
+    message = f"cmp needs T >= {order + 3} transitions to fit its {order + 2} coefficients at moment order " \
+              f"{order}, got T={order + 2}"
+    with pytest.raises(ValueError, match=message):
+        estimate_tte_cmp(dataset(order + 2), config, bs)
+    assert np.isfinite(estimate_tte_cmp(dataset(order + 3), config, bs).point)
 
 
 def test_per_period_maps_are_rejected_and_the_flag_is_not_stored():
@@ -450,58 +445,6 @@ def test_network_bootstrap_matches_round_robin_loop(seed):
         got = [s.covariates.values[:, 0].astype(int).tolist() for s in subs]
         assert got == loop_partition(d, k, seed)
 
-
-
-@pytest.mark.parametrize("n_eligible, k, seed", [(97, 10, 0), (100, 4, 1), (61, 3, 2)])
-def test_pooled_subpopulations_are_the_network_bootstrap_partition(n_eligible, k, seed):
-    """For the all-ones count row the pooled path's subpopulations are `network_bootstrap`'s, and their
-    transition rows are `build_features` of those subsets."""
-    d = simulate_experiment(
-        GraphParams(n_eligible=n_eligible, n_connected=120, avg_degree=2.0),
-        DgpParams(sigma=0.5, baseline_sd=1.0),
-        RolloutParams((1, 3), (0.3, 0.6)),
-        T=5,
-        seed=50 + seed,
-    )
-    n, T = d.n_units, d.n_periods
-    d = dataclasses.replace(d, covariates=UnitCovariates(np.arange(n, dtype=float)[:, None]))
-    panel, ones, starts = _panel(d, 2), np.ones((1, n), dtype=np.int64), _deal_starts([seed], k)
-    members, sizes = _deal(ones, panel.baseline_order, panel.stage, starts, k)
-    subs = network_bootstrap(d, k, seed)
-    assert [s.covariates.values[:, 0].astype(int).tolist() for s in subs] == [
-        units.tolist() for units in np.split(members[0], np.cumsum(sizes[0])[:-1])]
-    table, targets, _, _ = _training_features(panel, ones, CmpConfig(n_subpopulations=k), starts)
-    for j, s in enumerate(subs):
-        f = build_features(s, 2)
-        np.testing.assert_allclose(table[0, j * T:(j + 1) * T], f.table, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(targets[0, j * T:(j + 1) * T], f.targets, rtol=1e-12)
-
-
-def test_pooled_features_gather_in_bounded_blocks(monkeypatch):
-    """One 16-draw chunk at N=1000, T=12 (pooled) traces under 2 MiB: its (order + 1)(T + 1) x 16 000 gather of
-    `sum_rows` columns would be 5 MB in one piece. The block size does not change a bit of the result."""
-    d = simulate_experiment(
-        GraphParams(n_eligible=1000, n_connected=1500, avg_degree=3.0),
-        DgpParams(sigma=1.0, baseline_mean=10.0, baseline_sd=2.0),
-        RolloutParams((3, 5), (0.3, 0.6)),
-        T=12,
-        seed=9,
-    )
-    panel, config = _panel(d, 2), CmpConfig()
-    rng = np.random.default_rng(0)
-    counts = np.stack([np.bincount(rng.integers(0, d.n_units, d.n_units), minlength=d.n_units) for _ in range(16)])
-    starts = rng.integers(0, config.n_subpopulations, 16)
-    tracemalloc.start()
-    try:
-        table = _training_features(panel, counts, config, starts)[0]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (16, config.n_subpopulations * 12, 4)
-    assert peak <= 2 << 20
-    for block_bytes in (1, 1 << 30):  # one subpopulation per block, and the whole chunk in one
-        monkeypatch.setattr(est_cmp, "CHUNK_BYTES", block_bytes)
-        np.testing.assert_array_equal(_training_features(panel, counts, config, starts)[0], table)
 
 def loop_moments(values, order):
     """Reference for `build_features`: the moments of one period's column."""
@@ -557,7 +500,7 @@ def loop_evolution(model, baseline_mean, p, T):
     means = [baseline_mean]
     for t in range(T):
         m = means[-1]
-        row = np.concatenate([[m], model.context_moments[1:], [p, (m - model.interaction_center) * p]])
+        row = np.concatenate([[m], model.context_moments[1:], [p]])
         means.append(float(predict(model.model, row[None, :])[0]))
     return np.asarray(means)
 
@@ -565,7 +508,8 @@ def loop_evolution(model, baseline_mean, p, T):
 @pytest.mark.parametrize("pooled", [True, False])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_counterfactual_evolution_matches_predict_loop(pooled, order):
-    """The map fit on subpopulation-pooled rows, or on the full panel's own rows, recursed two ways."""
+    """The map fit on the stacked rows of `network_bootstrap`'s subpopulations, or on the full panel's own rows,
+    recursed two ways."""
     d = simulate_experiment(
         GraphParams(n_eligible=80, n_connected=120, avg_degree=2.0),
         DgpParams(beta=1.0, gamma=0.5, rho=0.3, sigma=0.3, baseline_mean=4.0, baseline_sd=1.0),

@@ -1,15 +1,15 @@
-"""Property tests of cmp's moments from power sums: the full resample's and each pooled subpopulation's must
-match the mean and central moments of their gathered outcome rows."""
+"""Property tests of cmp's moments from power sums: each resample's must match the mean and central moments of
+its gathered outcome rows."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from interference_lab.core import ExperimentDataset, OutcomePanel, TreatmentPanel  # noqa: E402
-from interference_lab.est_cmp import CmpConfig, _count_features, _deal, _panel, _training_features  # noqa: E402
+from interference_lab.est_cmp import _count_features, _panel  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -48,17 +48,6 @@ def resampled_panels(draw):
     return random_panel(draw, n), draw(st.integers(1, 3)), count_rows(draw, n)
 
 
-@st.composite
-def partitioned_panels(draw):
-    """A random panel, a moment order, a subpopulation count k, count rows and one deal start per row; n is
-    2k (the smallest partition) or any size up to 30, so that k often does not divide it."""
-    k = draw(st.integers(2, 6))
-    n = draw(st.one_of(st.just(2 * k), st.integers(2 * k, 30)))
-    counts = count_rows(draw, n)
-    starts = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(counts), max_size=len(counts))))
-    return random_panel(draw, n), draw(st.integers(1, 3)), k, counts, starts
-
-
 def gathered_moments(d, rows, order):
     """Per-period mean and central moments 2..order (T + 1, order) of the outcome rows `rows`, and the
     next-period treated fractions (T,)."""
@@ -68,12 +57,12 @@ def gathered_moments(d, rows, order):
     return np.stack(moments, axis=-1), d.treatments.assignments[rows].mean(axis=0)
 
 
-def assert_moments_close(d, got, want, periods=slice(None)):
+def assert_moments_close(d, got, want):
     """Moments (..., periods, order) within 1e-12 relative to the period's spread s, plus what rounding a sum of n
     values of the period's level can move: u in the mean, and k s^(k-1) u in the k-th central moment. Even
     central moments are never negative."""
     assert (got[..., 1::2] >= 0).all()
-    y = d.outcomes.outcomes[:, periods]
+    y = d.outcomes.outcomes
     spread = np.abs(y - y.mean(axis=0)).max(axis=0)
     u = d.n_units * EPS * np.abs(y).max(axis=0)
     for k in range(1, got.shape[-1] + 1):
@@ -91,34 +80,3 @@ def test_count_weighted_moments_match_the_gathered_rows(case):
         want, want_p = gathered_moments(d, np.repeat(np.arange(d.n_units), counts[row]), order)
         np.testing.assert_array_equal(table[row, :, order], want_p)
         assert_moments_close(d, np.concatenate([table[row, :, :order], final[row, None]]), want)
-
-
-def fixed_partition(n, k, offset, constant, seed):
-    """A pooled case with a resample that skips units and one that draws a single unit n times."""
-    rng = np.random.default_rng(seed)
-    counts = np.stack([np.bincount(rng.integers(0, n, n), minlength=n), np.bincount([seed % n] * n, minlength=n)])
-    return make_panel(n, 4, seed, offset, 1.0, constant), 2, k, counts, rng.integers(0, k, 2)
-
-
-@settings(max_examples=150, deadline=2000)
-@given(partitioned_panels())
-@example(fixed_partition(8, 4, 1e6, 2, seed=1))  # n = 2k, the 1e6 offset and a constant period
-@example(fixed_partition(23, 5, -3.5, -1, seed=2))  # n not divisible by k
-def test_pooled_subpopulation_moments_match_their_gathered_members(case):
-    d, order, k, counts, starts = case
-    n, T = d.n_units, d.n_periods
-    panel = _panel(d, order)
-    members, sizes = _deal(counts, panel.baseline_order, panel.stage, starts, k)
-    # The deal splits each resample's n copies into k subpopulations of at least 2 copies each.
-    assert (sizes >= 2).all() and (sizes.sum(axis=1) == n).all()
-    for row in range(len(counts)):
-        np.testing.assert_array_equal(np.bincount(members[row], minlength=n), counts[row])
-    table, targets, _, _ = _training_features(panel, counts, CmpConfig(moment_order=order, n_subpopulations=k),
-                                              starts)
-    for row in range(len(counts)):
-        for j, units in enumerate(np.split(members[row], np.cumsum(sizes[row])[:-1])):
-            want, want_p = gathered_moments(d, units, order)
-            transitions = slice(j * T, (j + 1) * T)
-            np.testing.assert_array_equal(table[row, transitions, order], want_p)
-            assert_moments_close(d, table[row, transitions, :order], want[:-1], slice(None, -1))
-            assert_moments_close(d, targets[row, transitions, None], want[1:, :1], slice(1, None))

@@ -27,9 +27,9 @@ GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-9
 ATOL = 1e-12  # floor for values that round to about zero
 
-# T=6 gives 6 transition rows, fewer than cmp needs, so it pools subpopulations.
-POOLED = {
-    "name": "golden_pooled",
+# A short panel: T=6 gives cmp 6 transition rows for the 5 coefficients of its moment-order-2 map.
+BASE = {
+    "name": "golden_base",
     "graph": {"n_eligible": 40, "n_ineligible": 8, "n_connected": 60, "avg_degree": 2.0},
     "dgp": {"beta": 1.0, "gamma": 0.5, "rho": 0.2, "sigma": 0.3, "baseline_mean": 4.0, "baseline_sd": 1.0},
     "rollout": {"stage_boundaries": [1, 3], "stage_probabilities": [0.3, 0.6]},
@@ -45,21 +45,21 @@ POOLED = {
 
 # The optional paths: cmp at moment order 1, network lambda CV and weighted exposures.
 VARIANT = dict(
-    POOLED,
+    BASE,
     name="golden_variant",
-    graph=dict(POOLED["graph"], weight_mode="lognormal", weight_mu=0.0, weight_sd=0.5),
+    graph=dict(BASE["graph"], weight_mode="lognormal", weight_mu=0.0, weight_sd=0.5),
     estimators={
-        "basic": POOLED["estimators"]["basic"],
+        "basic": BASE["estimators"]["basic"],
         "network": {
             "learner": {"kind": "ridge", "lambda_grid": [1e-3, 3.0, 10.0]},
             "n_bootstrap": 25,
             "weighted_exposures": True,
         },
-        "cmp": dict(POOLED["estimators"]["cmp"], moment_order=1),
+        "cmp": dict(BASE["estimators"]["cmp"], moment_order=1),
     },
 )
 
-SCENARIOS = {"pooled": POOLED, "variant": VARIANT}
+SCENARIOS = {"base": BASE, "variant": VARIANT}
 
 
 def bench_report(obj: dict) -> str:
@@ -67,15 +67,15 @@ def bench_report(obj: dict) -> str:
 
 
 def cli_estimates(workdir: Path) -> dict[str, str]:
-    """`estimate` output per method on the pooled scenario's simulated dataset, with its estimator blocks."""
+    """`estimate` output per method on the base scenario's simulated dataset, with its estimator blocks."""
     scenario = workdir / "scenario.json"
-    scenario.write_text(json.dumps(POOLED))
+    scenario.write_text(json.dumps(BASE))
     data = workdir / "data"
     assert cli_main(["simulate", "--config", str(scenario), "--out", str(data)]) == 0
     out = {}
-    for method, block in POOLED["estimators"].items():
+    for method, block in BASE["estimators"].items():
         config = workdir / f"{method}_config.json"
-        config.write_text(json.dumps(dict(block, seed=POOLED["seed"])))
+        config.write_text(json.dumps(dict(block, seed=BASE["seed"])))
         result = workdir / f"estimate_{method}.json"
         argv = ["estimate", "--data", str(data), "--method", method, "--config", str(config), "--out", str(result)]
         assert cli_main(argv) == 0

@@ -111,7 +111,7 @@ def test_estimates_derive_no_seed_sequence_per_draw(monkeypatch):
     boot = BootstrapConfig(200, seed=9)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
-    estimate_tte_cmp(d, CmpConfig(seed=1), boot)  # T=12 pools subpopulations and cross-validates
+    estimate_tte_cmp(d, CmpConfig(seed=1), boot)  # cross-validates on every draw
     estimate_tte_cmp(d, CmpConfig(moment_order=1, learner=grid, seed=1), boot)
     estimate_basic(d, grid, boot)
     estimate_basic(d, kernel, boot)
