@@ -320,16 +320,39 @@ class BenchReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchReport":
-        if obj.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported report schema: {obj.get('schema')!r}")
+        _check_required(obj, REPORT_SCHEMA, "report")
+        if obj["schema"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported report schema: {obj['schema']!r}")
         return cls(scenarios=tuple(obj["scenarios"]))
+
+
+def _check_required(obj, schema: dict, where: str) -> None:
+    """Raise ValueError unless `obj` has the objects, arrays and required keys that `schema`, a node of
+    `REPORT_SCHEMA`, lays out."""
+    if schema.get("type") == "object":
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+        missing = [key for key in schema.get("required", ()) if key not in obj]
+        if missing:
+            raise ValueError(f"{where} is missing required keys {missing}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in obj:
+                _check_required(obj[key], sub, f"{where}.{key}")
+    elif schema.get("type") == "array":
+        if not isinstance(obj, list):
+            raise ValueError(f"{where} must be a JSON list, got {type(obj).__name__}")
+        for i, item in enumerate(obj):
+            _check_required(item, schema["items"], f"{where}[{i}]")
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> BenchReport:
     """Simulate, estimate, and aggregate; deterministic for a given config."""
+    check_count("jobs", jobs, 1)
     indices = list(range(1, cfg.replicates + 1))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, cfg.replicates)
+    if workers > 1:
+        # the fork start method launches every worker up front: never more than there are replicates
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_replicate, [cfg] * len(indices), indices, chunksize=1))
     else:
         records = [_run_replicate(cfg, r) for r in indices]

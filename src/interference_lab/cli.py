@@ -12,8 +12,9 @@ scenario's `estimators.<method>` object plus an integer `seed`, which plays
 the role of a bench replicate's seed. The INTERFERENCE_LAB_SEED environment
 variable overrides the config seed when set.
 
-Exit codes: 0 success, 1 validation failure (bad arguments, malformed
-config or dataset), 2 runtime failure.
+Exit codes: 0 success, 1 validation failure (bad arguments; a malformed
+config, dataset or report; an input path that is a directory or unreadable),
+2 runtime failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .bench import (
     simulate_scenario_dataset,
 )
 from .core import check_int
-from .dataio import DataFormatError, load_dataset, save_dataset
+from .dataio import load_dataset, save_dataset
 
 
 class _UsageError(Exception):
@@ -166,7 +167,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (DataFormatError, ValueError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # DataFormatError and JSONDecodeError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:  # numeric/runtime failures

@@ -185,11 +185,6 @@ class TreatmentPanel:
     def n_periods(self) -> int:
         return self.assignments.shape[1]
 
-    def treated_fraction(self) -> np.ndarray:
-        """Treated fraction per period t = 0..T (zero at the baseline period)."""
-        frac = self.assignments.mean(axis=0) if self.n_units else np.zeros(self.n_periods)
-        return np.concatenate([[0.0], frac])
-
 
 @dataclass(frozen=True, eq=False)
 class OutcomePanel:

@@ -97,7 +97,8 @@ def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
     units = [",".join(["unit_id", "eligible"] + [f"x_{j + 1}" for j in range(k)]) + "\n"]
     units += map(template.format, ids, *covariate_columns)
     if d.graph is not None:
-        ineligible = np.sort(d.graph.treatment_ids[~d.graph.eligible]).tolist()
+        # BipartiteGraph keeps its units sorted by id and its edges by (treatment, connected)
+        ineligible = d.graph.treatment_ids[~d.graph.eligible].tolist()
         units += map(f"{{}},0{',' * k}\n".format, ineligible)
     _write_text(out / "units.csv", "".join(units))
 
@@ -110,9 +111,8 @@ def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
     graph_file = out / "graph.csv"
     if d.graph is not None:
         g = d.graph
-        order = np.lexsort((g.edge_connected, g.edge_treatment))
-        edges = map("{},{},{!r}\n".format, g.edge_treatment[order].tolist(), g.edge_connected[order].tolist(),
-                    g.edge_weight[order].tolist())
+        edges = map("{},{},{!r}\n".format, g.edge_treatment.tolist(), g.edge_connected.tolist(),
+                    g.edge_weight.tolist())
         _write_text(graph_file, "treatment_unit_id,connected_unit_id,weight\n" + "".join(edges))
     elif graph_file.exists():
         graph_file.unlink()

@@ -78,7 +78,7 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
 
         point = contrast(model, units)
     else:
-        rows = ridge_rows(design, delta, learner.center)
+        rows = ridge_rows(design, delta)
 
         def contrast(counts, coef) -> np.ndarray:
             z_mean = np.einsum("bi,ij->bj", counts, z_treated) / n
@@ -89,7 +89,7 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
             if multi_grid:
                 idx = np.repeat(np.tile(units, len(counts)), counts.ravel()).reshape(counts.shape)
                 folds = learner_folds(learner, n, fit_seeds[draws.start:draws.stop])
-                lams = cv_lambdas(ridge_rows(design[idx], delta[idx], learner.center), learner, folds)[:, None]
+                lams = cv_lambdas(ridge_rows(design[idx], delta[idx]), learner, folds)[:, None]
             coef, _ = weighted_ridge(rows, counts, lams)
             return contrast(counts, coef[:, 0])
 

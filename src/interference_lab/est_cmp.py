@@ -155,7 +155,7 @@ def _fit_maps(table, targets, learner: LearnerConfig, folds):
     if T < d + 2:
         raise ValueError(f"cmp needs T >= {d + 2} transitions to fit its {d + 1} coefficients at moment order "
                          f"{d - 1}, got T={T}")
-    rows = ridge_rows(table, targets, learner.center)
+    rows = ridge_rows(table, targets)
     if folds is not None:
         lam = cv_lambdas(rows, learner, folds)
     else:

@@ -10,12 +10,12 @@ and kernel ridge solves (K + lam * I) alpha = y on the raw Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_count, check_flag, check_real
+from .core import check_count, check_real
 from .rng import substreams
 
 # Log-spaced default grid; bench preset files restate it so it stays visible.
@@ -60,23 +60,23 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def ridge_fit(X, y, lam: float, center: bool = True) -> RidgeModel:
-    """Penalized least squares on (internally centered) data."""
+def ridge_fit(X, y, lam: float) -> RidgeModel:
+    """Penalized least squares with an intercept, on internally centered data."""
     X = _as_matrix(X)
     if len(X) < 1:
         raise ValueError("need at least one training row")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    coef, intercept = weighted_ridge(ridge_rows(X, y, center), np.ones((1, len(X))), lam)
+    coef, intercept = weighted_ridge(ridge_rows(X, y), np.ones((1, len(X))), lam)
     return RidgeModel(coefficients=coef[0, 0], intercept=float(intercept[0, 0]), lam=float(lam))
 
 
 class RidgeRows(NamedTuple):
     """The weight-free part of `weighted_ridge` for rows X (..., n, d), y (..., n).
 
-    `sx` (..., d) and `sy` (...) are the row means (zeros unless `center`), and `outer` (..., n, (d+2)²)
-    holds each row's outer product of [1, x - sx, y - sy]. Every array is read-only, so one set serves
-    every weight row of a bootstrap and every fold of a cross-validation.
+    `sx` (..., d) and `sy` (...) are the row means, and `outer` (..., n, (d+2)²) holds each row's outer product
+    of [1, x - sx, y - sy]. Every array is read-only, so one set serves every weight row of a bootstrap and
+    every fold of a cross-validation.
     """
 
     X: np.ndarray
@@ -84,22 +84,20 @@ class RidgeRows(NamedTuple):
     sx: np.ndarray
     sy: np.ndarray
     outer: np.ndarray
-    center: bool
 
 
-def ridge_rows(X, y, center: bool = True) -> RidgeRows:
+def ridge_rows(X, y) -> RidgeRows:
     """Prepare rows X (..., n, d), y (..., n) for any number of `weighted_ridge` calls."""
     # views: marking them read-only leaves the caller's arrays writable
     X = np.asarray(X, dtype=float).view()
     y = np.asarray(y, dtype=float).view()
-    d = X.shape[-1]
-    sx = X.mean(axis=-2) if center else np.zeros(X.shape[:-2] + (d,))
-    sy = np.asarray(y.mean(axis=-1)) if center else np.zeros(y.shape[:-1])
+    sx = X.mean(axis=-2)
+    sy = np.asarray(y.mean(axis=-1))
     a = np.concatenate([np.ones(y.shape + (1,)), X - sx[..., None, :], (y - sy[..., None])[..., None]], axis=-1)
     outer = (a[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (-1,))
     for arr in (X, y, sx, sy, outer):
         arr.setflags(write=False)
-    return RidgeRows(X, y, sx, sy, outer, center)
+    return RidgeRows(X, y, sx, sy, outer)
 
 
 def weighted_ridge(rows: RidgeRows, w, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -107,38 +105,33 @@ def weighted_ridge(rows: RidgeRows, w, lams) -> tuple[np.ndarray, np.ndarray]:
 
     w (..., W, n) holds one nonnegative weight row per fit (a bootstrap count row, a fold's training
     indicator, all ones for a plain fit); `lams` broadcasts against (..., W, L). Each fit solves the ridge
-    normal equations of the rows repeated by their weights, centered on the weighted means when `rows.center`
-    (without centering, the intercept is 0).
+    normal equations of the rows repeated by their weights, centered on the weighted means.
     The weighted cross-products are einsum sums over the prepared outer products, so a sum over units never
     goes to a (multithreaded) BLAS call and no weighted copy of the rows is built.
     """
-    X, _, sx, sy, outer, center = rows
+    X, _, sx, sy, outer = rows
     w = np.asarray(w, dtype=float)
     d = X.shape[-1]
     M = np.einsum("...wi,...ij->...wj", w, outer)
     M = M.reshape(M.shape[:-1] + (d + 2, d + 2))
-    A, r = M[..., 1:-1, 1:-1], M[..., 1:-1, -1]
-    if center:  # center on the weighted means of the shifted data
-        n = M[..., 0, 0]
-        mx, my = M[..., 0, 1:-1] / n[..., None], M[..., 0, -1] / n
-        A = A - n[..., None, None] * mx[..., :, None] * mx[..., None, :]
-        r = r - n[..., None] * mx * my[..., None]
+    # center on the weighted means of the shifted data
+    n = M[..., 0, 0]
+    mx, my = M[..., 0, 1:-1] / n[..., None], M[..., 0, -1] / n
+    A = M[..., 1:-1, 1:-1] - n[..., None, None] * mx[..., :, None] * mx[..., None, :]
+    r = M[..., 1:-1, -1] - n[..., None] * mx * my[..., None]
     lams = np.asarray(lams, dtype=float)
     A = A[..., None, :, :] + lams[..., None, None] * np.eye(d)
     unpenalized = np.broadcast_to(lams == 0, A.shape[:-2]).any(axis=-1)
     if unpenalized.any():
         # Rank is decided on data centered on each fit's own weighted mean: a column constant on a
         # resample then gives an exactly, not nearly, zero row.
-        Xc = X[..., None, :, :]
-        if center:
-            Xc = Xc - (np.einsum("...wi,...ij->...wj", w, X) / w.sum(axis=-1)[..., None])[..., None, :]
+        w_mean = np.einsum("...wi,...ij->...wj", w, X) / w.sum(axis=-1)[..., None]
+        Xc = X[..., None, :, :] - w_mean[..., None, :]
         gram = np.einsum("...wi,...wij,...wik->...wjk", w, Xc, Xc)
         if (np.linalg.matrix_rank(gram[unpenalized]) < d).any():
             raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
     r = np.broadcast_to(r[..., None, :], A.shape[:-1])
     coef = np.linalg.solve(A, r[..., None])[..., 0]
-    if not center:
-        return coef, np.zeros(coef.shape[:-1])
     shift = sx[..., None, :] + mx  # (..., W, d): the weighted means
     intercept = (sy[..., None] + my)[..., None] - np.einsum("...wj,...wlj->...wl", shift, coef)
     return coef, intercept
@@ -231,7 +224,6 @@ def cross_validate(
     learner: str = "ridge",
     kernel: str = "rbf",
     bandwidth: float | None = None,
-    center: bool = True,
     folds: np.ndarray | None = None,
 ) -> float:
     """Grid value minimizing mean held-out squared error; exact ties go to the larger lam."""
@@ -249,7 +241,7 @@ def cross_validate(
         raise ValueError("every fold needs at least one sample")
 
     if learner == "ridge":
-        errs = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, k_folds)
+        errs = _ridge_cv_errors(ridge_rows(X, y), grid, folds, k_folds)
     elif learner == "kernel_ridge":
         if kernel == "rbf" and bandwidth is None:
             bandwidth = median_bandwidth(X)
@@ -313,7 +305,6 @@ class LearnerConfig:
     cv_folds: int = 5
     kernel: str = "rbf"
     bandwidth: float | None = None
-    center: bool = True
 
     def __post_init__(self):
         if self.kind not in ("ridge", "kernel_ridge"):
@@ -330,14 +321,12 @@ class LearnerConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.bandwidth is not None and not check_real("bandwidth", self.bandwidth) > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        check_flag("center", self.center)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LearnerConfig":
         if not isinstance(obj, dict):
             raise ValueError(f"learner config must be a JSON object, got {type(obj).__name__}")
-        known = {"kind", "lambda_grid", "cv_folds", "kernel", "bandwidth", "center"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown learner config keys: {sorted(unknown)}")
         try:
@@ -361,8 +350,7 @@ def fit_learner(X, y, config: LearnerConfig, seed: int = 0):
             learner=config.kind,
             kernel=config.kernel,
             bandwidth=config.bandwidth,
-            center=config.center,
         )
     if config.kind == "ridge":
-        return ridge_fit(X, y, lam, center=config.center)
+        return ridge_fit(X, y, lam)
     return kernel_ridge_fit(X, y, kernel=config.kernel, lam=lam, bandwidth=config.bandwidth)

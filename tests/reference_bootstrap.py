@@ -52,7 +52,7 @@ def bootstrap_estimate(method, point, bootstrap, stream, n, statistic, valid=Non
 # --- regression -----------------------------------------------------------------------------------------
 
 
-def ridge_fit(X, y, lam, center=True) -> RidgeModel:
+def ridge_fit(X, y, lam) -> RidgeModel:
     """The package's normal equations: the sum over rows of the outer products of a = [1, x - x̄, y - ȳ]
     gives the cross-products of the shifted data, which are then centered on their own (rounding-sized)
     means. cmp's no_interference fits have condition numbers near 2e16, so the same arithmetic, not the
@@ -65,38 +65,31 @@ def ridge_fit(X, y, lam, center=True) -> RidgeModel:
         raise ValueError("need at least one training row")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    x_mean = X.mean(axis=0) if center else np.zeros(d)
-    y_mean = float(y.mean()) if center else 0.0
+    x_mean = X.mean(axis=0)
+    y_mean = float(y.mean())
     a = np.column_stack([np.ones(n), X - x_mean, y - y_mean])
     M = (a[:, :, None] * a[:, None, :]).sum(axis=0)
-    A, r = M[1:-1, 1:-1], M[1:-1, -1]
-    shift_x, shift_y = np.zeros(d), 0.0
-    if center:
-        shift_x, shift_y = M[0, 1:-1] / n, M[0, -1] / n
-        A = A - n * np.outer(shift_x, shift_x)
-        r = r - n * shift_x * shift_y
+    shift_x, shift_y = M[0, 1:-1] / n, M[0, -1] / n
+    A = M[1:-1, 1:-1] - n * np.outer(shift_x, shift_x)
+    r = M[1:-1, -1] - n * shift_x * shift_y
     if lam == 0:
-        Xc = X - X.mean(axis=0) if center else X
+        Xc = X - X.mean(axis=0)
         if np.linalg.matrix_rank(Xc.T @ Xc) < d:
             raise DegenerateDesignError("rank-deficient design with lam=0; increase lam or drop columns")
     coef = np.linalg.solve(A + lam * np.eye(d), r)
-    intercept = (y_mean + shift_y) - float((x_mean + shift_x) @ coef) if center else 0.0
+    intercept = (y_mean + shift_y) - float((x_mean + shift_x) @ coef)
     return RidgeModel(coefficients=coef, intercept=intercept, lam=float(lam))
 
 
-def _ridge_cv_errors(X, y, grid, folds, k_folds, center):
+def _ridge_cv_errors(X, y, grid, folds, k_folds):
     if grid[0] < 0:
         raise ValueError("lam must be nonnegative")
     d = X.shape[1]
     test = (folds == np.arange(k_folds)[:, None]).astype(float)
     train = 1.0 - test
-    if center:
-        n_train = train.sum(axis=1)
-        x_mean = (train @ X) / n_train[:, None]
-        y_mean = (train @ y) / n_train
-    else:
-        x_mean = np.zeros((k_folds, d))
-        y_mean = np.zeros(k_folds)
+    n_train = train.sum(axis=1)
+    x_mean = (train @ X) / n_train[:, None]
+    y_mean = (train @ y) / n_train
     Xc = (X - x_mean[:, None, :]) * train[:, :, None]
     yc = (y - y_mean[:, None]) * train
     Xc_t = np.swapaxes(Xc, 1, 2)
@@ -112,11 +105,11 @@ def _ridge_cv_errors(X, y, grid, folds, k_folds, center):
     return fold_errs.mean(axis=0)
 
 
-def cross_validate(X, y, lambda_grid, k_folds, seed, learner, kernel, bandwidth, center) -> float:
+def cross_validate(X, y, lambda_grid, k_folds, seed, learner, kernel, bandwidth) -> float:
     grid = sorted(float(v) for v in lambda_grid)
     folds = fold_assignments(len(X), k_folds, seed)
     if learner == "ridge":
-        errs = _ridge_cv_errors(X, y, grid, folds, k_folds, center)
+        errs = _ridge_cv_errors(X, y, grid, folds, k_folds)
     else:
         if kernel == "rbf" and bandwidth is None:
             bandwidth = median_bandwidth(X)
@@ -143,9 +136,9 @@ def fit_learner(X, y, config, seed=0):
         lam = config.lambda_grid[0]
     else:
         lam = cross_validate(X, y, config.lambda_grid, min(config.cv_folds, len(X)), seed, config.kind,
-                             config.kernel, config.bandwidth, config.center)
+                             config.kernel, config.bandwidth)
     if config.kind == "ridge":
-        return ridge_fit(X, y, lam, center=config.center)
+        return ridge_fit(X, y, lam)
     return kernel_ridge_fit(X, y, kernel=config.kernel, lam=lam, bandwidth=config.bandwidth)
 
 

@@ -66,6 +66,27 @@ def test_parallel_execution_matches_serial():
     assert serial == parallel
 
 
+def test_parallel_run_starts_no_more_workers_than_replicates(monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size, runs the replicates in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    assert run_scenario(tiny_scenario(replicates=2), jobs=3).scenarios[0]["n_replicates"] == 2
+    assert started == [2]
+
+
 def test_report_validates_against_schema_after_round_trip():
     cfg = tiny_scenario(replicates=2)
     report = run_scenario(cfg)

@@ -215,6 +215,40 @@ def test_corrupt_scenario_config_exits_one(tmp_path, capsys):
     assert cli_main(["bench", "--config", str(bad), "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["bench", "--config", "{dir}", "--out", "{out}"],
+    ["estimate", "--data", "{dir}", "--method", "cmp", "--config", "{dir}", "--out", "{out}"],
+    ["report", "--in", "{dir}", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_directory_as_input_file_exits_one(tmp_path, capsys, command):
+    argv = [arg.format(dir=tmp_path, out=tmp_path / "out") for arg in command]
+    assert cli_main(argv) == 1
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("report, message", [
+    ([1, 2], "report must be a JSON object, got list"),
+    ({"schema": 1}, "report is missing required keys ['scenarios']"),
+    ({"schema": 1, "scenarios": [{"name": "x"}]},
+     "report.scenarios[0] is missing required keys ['config', 'n_replicates', 'truth_mean', 'methods', "
+     "'sign_agreement', 'bias_direction', 'warnings', 'metadata', 'replicates']"),
+], ids=["list", "no_scenarios", "bare_scenario"])
+def test_malformed_report_exits_one(tmp_path, capsys, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert cli_main(["report", "--in", str(path)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_jobs_below_one_exits_one(tmp_path, scenario_file, capsys, jobs):
+    out = tmp_path / "r.json"
+    assert cli_main(["bench", "--config", scenario_file, "--out", str(out), "--jobs", jobs]) == 1
+    assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # One bad field per estimator block, merged into TINY_SCENARIO's block: (block, fields, error message).
 BAD_ESTIMATOR_BLOCKS = [
     ("basic", {"n_bootstrap": 0}, "basic settings: n_replicates must be >= 1, got 0"),
@@ -229,7 +263,7 @@ BAD_ESTIMATOR_BLOCKS = [
     ("network", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1], "kernel": "poly"}},
      "learner config: unknown kernel 'poly'"),
     ("basic", {"learner": {"kind": "ridge", "lambda_grid": [1e-8], "center": 1}},
-     "learner config: center must be true or false, got 1"),
+     "unknown learner config keys: ['center']"),
     ("cmp", {"learner": {"kind": "kernel_ridge", "lambda_grid": [0.1]}},
      "cmp settings: state evolution uses the ridge learner"),
     ("network", {"weighted_exposures": "no"}, "network settings: weighted_exposures must be true or false, got 'no'"),

@@ -219,12 +219,6 @@ def test_datasets_equal(dataset):
     assert not datasets_equal(dataset, small_dataset(with_graph=False))
 
 
-def test_treated_fraction_includes_baseline_zero(dataset):
-    frac = dataset.treatments.treated_fraction()
-    assert frac[0] == 0.0
-    assert frac.tolist() == [0.0, 0.0, 2 / 3, 2 / 3, 2 / 3]
-
-
 def test_bootstrap_gives_up_after_max_tries_naming_the_estimator():
     tries = []
     with pytest.raises(RuntimeError, match="^network_aware: no valid bootstrap resample in 100 draws$"):

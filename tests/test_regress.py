@@ -23,28 +23,30 @@ from interference_lab.regress import (
 import reference_rng
 
 
-def ridge_oracle(X, y, lam, center=True):
+def ridge_oracle(X, y, lam):
     """Independent route: least squares on the lam-augmented system."""
     X = np.asarray(X, float)
     y = np.asarray(y, float)
-    if center:
-        xm, ym = X.mean(axis=0), y.mean()
-    else:
-        xm, ym = np.zeros(X.shape[1]), 0.0
+    xm, ym = X.mean(axis=0), y.mean()
     aug_X = np.vstack([X - xm, np.sqrt(lam) * np.eye(X.shape[1])])
     aug_y = np.concatenate([y - ym, np.zeros(X.shape[1])])
     coef, *_ = np.linalg.lstsq(aug_X, aug_y, rcond=None)
     return coef, ym - xm @ coef
 
 
+# Mean-zero columns with X'X = 2I and a mean-zero y = X @ [1, 2]: centering changes nothing.
+CENTERED_X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+CENTERED_Y = np.array([1.0, -1.0, 2.0, -2.0])
+
+
 def test_identity_interpolation_without_centering():
-    model = ridge_fit(np.eye(2), [1.0, 2.0], lam=0.0, center=False)
+    model = ridge_fit(CENTERED_X, CENTERED_Y, lam=0.0)
     np.testing.assert_allclose(model.coefficients, [1.0, 2.0], atol=1e-12)
     assert model.intercept == 0.0
 
 
 def test_identity_shrinkage():
-    model = ridge_fit(np.eye(2), [1.0, 2.0], lam=1.0, center=False)
+    model = ridge_fit(CENTERED_X, CENTERED_Y, lam=2.0)
     np.testing.assert_allclose(model.coefficients, [0.5, 1.0], atol=1e-12)
 
 
@@ -107,8 +109,8 @@ def test_linear_kernel_small_lam_matches_uncentered_ridge():
     X = rng.normal(size=(20, 3))
     y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=20)
     kr = kernel_ridge_fit(X, y, kernel="linear", lam=1e-8)
-    ridge = ridge_fit(X, y, lam=0.0, center=False)
-    np.testing.assert_allclose(predict(kr, X), predict(ridge, X), atol=1e-4)
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)  # least squares without an intercept
+    np.testing.assert_allclose(predict(kr, X), X @ coef, atol=1e-4)
 
 
 def test_kernel_ridge_training_predictions_match_gram_product():
@@ -215,7 +217,7 @@ def test_learner_config_round_trip_and_validation():
         LearnerConfig(kind="forest")
 
 
-def loop_cv_errors(X, y, grid, folds, center=True):
+def loop_cv_errors(X, y, grid, folds):
     """Reference for the batched ridge CV: one `ridge_fit` per fold and grid value."""
     k = int(folds.max()) + 1
     errs = []
@@ -223,20 +225,20 @@ def loop_cv_errors(X, y, grid, folds, center=True):
         fold_errs = []
         for j in range(k):
             train, test = folds != j, folds == j
-            model = ridge_fit(X[train], y[train], lam, center=center)
+            model = ridge_fit(X[train], y[train], lam)
             fold_errs.append(float(np.mean((predict(model, X[test]) - y[test]) ** 2)))
         errs.append(float(np.mean(fold_errs)))
     return errs
 
 
-def fold_condition(X, grid, folds, center=True):
+def fold_condition(X, grid, folds):
     """Largest condition number of the fold systems, per grid value."""
     conds = []
     for lam in grid:
         worst = 1.0
         for j in range(int(folds.max()) + 1):
             Xt = X[folds != j]
-            Xc = Xt - Xt.mean(axis=0) if center else Xt
+            Xc = Xt - Xt.mean(axis=0)
             worst = max(worst, np.linalg.cond(Xc.T @ Xc + lam * np.eye(X.shape[1])))
         conds.append(worst)
     return np.asarray(conds)
@@ -250,36 +252,42 @@ def loop_cv_choice(grid, errs):
     return best_lam
 
 
-@pytest.mark.parametrize("center", [True, False])
-def test_batched_cross_validate_matches_ridge_fit_loop(center):
+# Rows moved far from the origin: each fit centers first on the rows' own means, then on its weighted means.
+SHIFT = 100.0
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_batched_cross_validate_matches_ridge_fit_loop(shifted):
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n, d, k = int(rng.integers(10, 60)), int(rng.integers(1, 6)), int(rng.integers(2, 6))
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
-        if d > 1 and seed % 3 == 0:  # near-collinear columns, as in cmp's interaction feature
+        if d > 1 and seed % 3 == 0:  # near-collinear columns
             X[:, -1] = X[:, 0] + 1e-3 * rng.normal(size=n)
         y = X @ rng.normal(size=d) + rng.uniform(0.0, 2.0) * rng.normal(size=n) + rng.normal()
+        if shifted:
+            X, y = X + SHIFT, y + SHIFT
         grid = sorted(float(v) for v in np.logspace(-8, 3, int(rng.integers(2, 11))))
         folds = reference_rng.fold_assignments(n, k, seed)
-        want = loop_cv_errors(X, y, grid, folds, center=center)
-        got = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, k)
+        want = loop_cv_errors(X, y, grid, folds)
+        got = _ridge_cv_errors(ridge_rows(X, y), grid, folds, k)
         # the two routes round differently; a solve's relative error grows with the condition number
-        rtol = 1e3 * np.finfo(float).eps * fold_condition(X, grid, folds, center)
+        rtol = 1e3 * np.finfo(float).eps * fold_condition(X, grid, folds)
         assert np.all(np.abs(got - want) <= rtol * np.abs(want))
-        chosen = cross_validate(X, y, grid, k_folds=k, seed=seed, center=center)
+        chosen = cross_validate(X, y, grid, k_folds=k, seed=seed)
         assert chosen == loop_cv_choice(grid, want)
 
 
-@pytest.mark.parametrize("center", [True, False])
-def test_batched_cross_validate_exact_tie_matches_loop(center):
-    X = np.arange(12.0).reshape(-1, 2)
-    y = np.zeros(6)  # every lam predicts zero exactly: all errors tie
+@pytest.mark.parametrize("shifted", [True, False])
+def test_batched_cross_validate_exact_tie_matches_loop(shifted):
+    X = np.arange(12.0).reshape(-1, 2) + (SHIFT if shifted else 0.0)
+    y = np.full(6, SHIFT if shifted else 0.0)  # every lam predicts y exactly: all errors tie
     grid = [1e-3, 0.1, 1.0, 10.0]
     folds = reference_rng.fold_assignments(6, 3, 5)
-    errs = _ridge_cv_errors(ridge_rows(X, y, center), grid, folds, 3)
-    assert errs.tolist() == loop_cv_errors(X, y, grid, folds, center=center)
+    errs = _ridge_cv_errors(ridge_rows(X, y), grid, folds, 3)
+    assert errs.tolist() == loop_cv_errors(X, y, grid, folds)
     assert len(set(errs.tolist())) == 1
-    assert cross_validate(X, y, grid, k_folds=3, seed=5, center=center) == 10.0
+    assert cross_validate(X, y, grid, k_folds=3, seed=5) == 10.0
 
 
 def test_batched_cross_validate_rank_deficient_lam_zero():
@@ -297,22 +305,23 @@ def test_batched_cross_validate_rank_deficient_lam_zero():
         cross_validate(X, y, [-1.0, 1.0], k_folds=4, seed=1)
 
 
-def weighted_problem(batch, seed=0, n=30, d=3, n_weights=5):
+def weighted_problem(batch, seed=0, n=30, d=3, n_weights=5, shifted=False):
     """Rows X (*batch, n, d), y (*batch, n) and count-like weights (*batch, n_weights, n); the first weight
-    row is zero on a third of the units."""
+    row is zero on a third of the units. `shifted` moves X and y by SHIFT."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=batch + (n, d)) * rng.uniform(0.1, 10.0, size=d)
     y = X @ rng.normal(size=d) + rng.normal(size=batch + (n,))
     w = rng.integers(0, 4, size=batch + (n_weights, n))
     w[..., 0, : n // 3] = 0
-    return X, y, w
+    offset = SHIFT if shifted else 0.0
+    return X + offset, y + offset, w
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
-@pytest.mark.parametrize("center", [True, False])
-def test_weighted_ridge_fits_a_stack_of_weight_rows_as_each_row_alone(center, batch):
-    X, y, w = weighted_problem(batch)
-    rows = ridge_rows(X, y, center)
+@pytest.mark.parametrize("shifted", [True, False])
+def test_weighted_ridge_fits_a_stack_of_weight_rows_as_each_row_alone(shifted, batch):
+    X, y, w = weighted_problem(batch, shifted=shifted)
+    rows = ridge_rows(X, y)
     lams = np.array([1e-3, 1.0, 30.0])
     coef, intercept = weighted_ridge(rows, w, lams)
     assert coef.shape == batch + (w.shape[-2], 3, X.shape[-1]) and intercept.shape == coef.shape[:-1]
@@ -323,14 +332,14 @@ def test_weighted_ridge_fits_a_stack_of_weight_rows_as_each_row_alone(center, ba
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
-@pytest.mark.parametrize("center", [True, False])
-def test_prepared_rows_reused_over_weight_chunks_equal_fresh_ones(center, batch):
-    X, y, w = weighted_problem(batch, seed=1, n_weights=6)
-    rows = ridge_rows(X, y, center)
+@pytest.mark.parametrize("shifted", [True, False])
+def test_prepared_rows_reused_over_weight_chunks_equal_fresh_ones(shifted, batch):
+    X, y, w = weighted_problem(batch, seed=1, n_weights=6, shifted=shifted)
+    rows = ridge_rows(X, y)
     for chunk in np.split(w, [1, 4], axis=-2):
         for lams in (0.5, np.array([[0.0], [1e-6], [2.0]])[: chunk.shape[-2]]):
             got = weighted_ridge(rows, chunk, lams)
-            want = weighted_ridge(ridge_rows(X.copy(), y.copy(), center), chunk, lams)
+            want = weighted_ridge(ridge_rows(X.copy(), y.copy()), chunk, lams)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
@@ -339,16 +348,15 @@ def test_weighted_ridge_at_lam_zero_rejects_a_rank_deficient_resample():
     X, y, w = weighted_problem((), seed=2)
     X[:10, 1] = 2.0 * X[:10, 0]  # collinear on the units the first weight row draws, not on the rest
     w[0, :10], w[0, 10:] = 1, 0
-    for center in (True, False):
-        rows = ridge_rows(X, y, center)
-        weighted_ridge(rows, w[1:], 0.0)
-        weighted_ridge(rows, w, 0.1)
-        with pytest.raises(DegenerateDesignError, match="rank-deficient"):
-            weighted_ridge(rows, w, 0.0)
-    X[:10, 1] = 5.0  # constant on the resample: singular only once centered
+    rows = ridge_rows(X, y)
+    weighted_ridge(rows, w[1:], 0.0)
+    weighted_ridge(rows, w, 0.1)
     with pytest.raises(DegenerateDesignError, match="rank-deficient"):
-        weighted_ridge(ridge_rows(X, y, True), w[:1], 0.0)
-    weighted_ridge(ridge_rows(X, y, False), w[:1], 0.0)
+        weighted_ridge(rows, w, 0.0)
+    X[:10, 1] = 5.0  # constant on the resample: singular once centered on the resample's mean
+    with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+        weighted_ridge(ridge_rows(X, y), w[:1], 0.0)
+    weighted_ridge(ridge_rows(X, y), w[1:], 0.0)
 
 
 def test_prepared_rows_are_read_only_and_leave_the_inputs_writable():
