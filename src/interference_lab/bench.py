@@ -323,13 +323,24 @@ class BenchReport:
         _check_required(obj, REPORT_SCHEMA, "report")
         if obj["schema"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema: {obj['schema']!r}")
+        for i, sc in enumerate(obj["scenarios"]):
+            for m in METHODS:
+                summary = sc["methods"][m]
+                missing = [key for key in RENDERED_SUMMARY_KEYS if key not in summary]
+                if summary["n_ok"] and missing:
+                    raise ValueError(f"report.scenarios[{i}].methods.{m} has n_ok {summary['n_ok']!r} "
+                                     f"but is missing keys {missing}")
         return cls(scenarios=tuple(obj["scenarios"]))
 
 
 def _check_required(obj, schema: dict, where: str) -> None:
     """Raise ValueError unless `obj` has the objects, arrays and required keys that `schema`, a node of
     `REPORT_SCHEMA`, lays out."""
-    if schema.get("type") == "object":
+    kinds = schema.get("type")
+    kinds = kinds if isinstance(kinds, list) else [kinds]
+    if obj is None and "null" in kinds:
+        return
+    if "object" in kinds:
         if not isinstance(obj, dict):
             raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
         missing = [key for key in schema.get("required", ()) if key not in obj]
@@ -338,7 +349,7 @@ def _check_required(obj, schema: dict, where: str) -> None:
         for key, sub in schema.get("properties", {}).items():
             if key in obj:
                 _check_required(obj[key], sub, f"{where}.{key}")
-    elif schema.get("type") == "array":
+    elif "array" in kinds:
         if not isinstance(obj, list):
             raise ValueError(f"{where} must be a JSON list, got {type(obj).__name__}")
         for i, item in enumerate(obj):
@@ -373,6 +384,10 @@ def _fmt_rate(x) -> str:
 
 def _fmt_num(x) -> str:
     return "-" if x is None else f"{x:.4g}"
+
+
+# The summary fields `render_report` reads of a method with n_ok > 0.
+RENDERED_SUMMARY_KEYS = ("estimate_mean", "estimate_sd", "significance_rate", "bias_mean")
 
 
 def render_report(report: BenchReport, fmt: str = "markdown") -> str:
@@ -433,10 +448,15 @@ REPORT_SCHEMA = {
                     "methods": {
                         "type": "object",
                         "required": list(METHODS),
+                        "properties": {m: {"type": "object", "required": ["n_ok"]} for m in METHODS},
                         "additionalProperties": {"type": "object"},
                     },
-                    "sign_agreement": {"type": "object"},
-                    "bias_direction": {"type": ["object", "null"]},
+                    "sign_agreement": {
+                        "type": "object",
+                        "required": list(METHODS),
+                        "properties": {m: {"type": "object", "required": list(METHODS)} for m in METHODS},
+                    },
+                    "bias_direction": {"type": ["object", "null"], "required": ["basic_match_rate", "verdict"]},
                     "warnings": {"type": "object"},
                     "metadata": {"type": "object"},
                     "replicates": {

@@ -13,14 +13,30 @@ round-trip form, so saving the same dataset twice produces byte-identical
 files. Connected units with no edges are not representable (graph.csv is an
 edge list); save_dataset rejects them.
 
-Reading and writing are columnar. A file is tokenised once by `csv.reader`
-(its quoting and line-ending rules are the accepted dialect); each column is
-parsed by Python's own `int` or `float`, every row check runs as an array
-mask, and each panel is filled by one scatter. These whole-column checks only
-decide whether a file is good. A bad file's rows are then walked once in
+Reading and writing are columnar. A file is read into columns by one of two
+tiers, which give the same arrays:
+
+- A plain numeric file goes through numpy's C reader (`np.loadtxt`, whose C
+  parser arrived in numpy 1.23). It qualifies when it has the exact header
+  line (so a units.csv with covariates never does) and then only digits, `.`,
+  `,`, `+`, `-`, `e`, `E` and `\\n` line ends; no blank line; no line longer
+  than csv's field limit; `w` and `eligible` cells exactly `0` or `1`; and
+  no error or warning from `np.loadtxt`. Within that alphabet `csv.reader`
+  splits each line at its commas, and numpy's integer and float parsers
+  accept a subset of what Python's `int` and `float` accept, with the same
+  values.
+- Every other file is tokenised by `csv.reader` (its quoting and line-ending
+  rules are the accepted dialect) and each column is parsed by Python's own
+  `int` or `float`.
+
+Every row check then runs as an array mask, and each panel is filled by one
+scatter. These whole-column checks only decide whether a file is good. A bad
+file is then read again by `csv.reader` and its rows are walked once in
 Python, in file order, each row's checks run in turn, and the first row that
-fails one is named in the `file:line` error. Saving builds each file's text
-from whole columns and writes it once.
+fails one is named in the `file:line` error (units.csv is walked this way
+whenever it is not plain numeric). So the accepted language, the values and
+the errors are those of the `csv` tier. Saving builds each file's text from
+whole columns and writes it once.
 """
 
 from __future__ import annotations
@@ -174,6 +190,14 @@ def _read_table(path: Path, expected_header: list[str], allow_extra: bool = Fals
     return header, [rows[i] for i in kept], np.array(kept, dtype=np.intp) + 2
 
 
+_W_CODES = {"0": 0, "1": 1}
+# Column parsers: (the function that reads a cell, the column's dtype).
+_INT = (int, np.int64)
+_FLOAT = (float, np.float64)
+_CODE = (_W_CODES.__getitem__, np.int8)  # exactly `0` or `1`
+_PLAIN_BYTES = b"0123456789.,+-eE\n"
+
+
 def _parse_columns(rows: list, parsers: list) -> list[np.ndarray] | None:
     """The columns of the rows through `parsers`, or None when a row has the wrong width or a cell fails its
     parser (an int beyond int64 fails too)."""
@@ -185,6 +209,49 @@ def _parse_columns(rows: list, parsers: list) -> list[np.ndarray] | None:
                 for j, (parse, dtype) in enumerate(parsers)]
     except (ValueError, KeyError, OverflowError):
         return None
+
+
+def _plain_numeric_columns(path: Path, header: list[str], parsers: list) -> list[np.ndarray] | None:
+    """The columns `_parse_columns` returns for a plain numeric file, read by `np.loadtxt`, or None for any
+    other file (see the module docstring). Only the last of `parsers` may be `_CODE`."""
+    import io
+    import warnings
+
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    head = (",".join(header) + "\n").encode()
+    body = data[len(head):]
+    if not data.startswith(head) or not body or body.translate(None, _PLAIN_BYTES):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
+        return None
+    # Each line ends in its own `\n`, so these counts cover every line only if each last cell is 0 or 1.
+    if parsers[-1] == _CODE and body.count(b",0\n") + body.count(b",1\n") != ends.size:
+        return None
+    dtype = np.dtype([(f"c{j}", column_dtype) for j, (_, column_dtype) in enumerate(parsers)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy reads `1.0` into an int column with a DeprecationWarning
+        try:
+            table = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return [np.ascontiguousarray(table[name]) for name in dtype.names]
+
+
+def _read_columns(path: Path, header: list[str], parsers: list) -> list[np.ndarray] | None:
+    """The columns of the file's rows after `header` through `parsers`, or None when a row has the wrong width
+    or a cell fails its parser. Raises `_read_table`'s errors."""
+    columns = _plain_numeric_columns(path, header, parsers)
+    if columns is None:
+        _, rows, _ = _read_table(path, header)
+        columns = _parse_columns(rows, parsers)
+    return columns
 
 
 def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
@@ -241,11 +308,9 @@ def _load_meta(root: Path) -> dict:
     return meta
 
 
-_W_CODES = {"0": 0, "1": 1}
-
-
-def _raise_first_panel_error(path: Path, rows: list, lines: np.ndarray, col: str, n: int, t_lo: int, t_hi: int):
+def _raise_first_panel_error(path: Path, col: str, n: int, t_lo: int, t_hi: int):
     """Raise at the first row, in file order, that fails a panel check, running each row's checks in turn."""
+    _, rows, lines = _read_table(path, ["unit_id", "t", col])
     seen = set()
     for lineno, row in zip(lines.tolist(), rows):
         if len(row) != 3:
@@ -267,19 +332,17 @@ def _raise_first_panel_error(path: Path, rows: list, lines: np.ndarray, col: str
 
 def _load_panel_file(path: Path, col: str, n: int, t_lo: int, t_hi: int) -> np.ndarray:
     """The n x (t_hi - t_lo + 1) panel of a `unit_id,t,<col>` file: int8 for w, float for y."""
-    _, rows, lines = _read_table(path, ["unit_id", "t", col])
-    value_parser = (_W_CODES.__getitem__, np.int8) if col == "w" else (float, np.float64)
-    columns = _parse_columns(rows, [(int, np.int64), (int, np.int64), value_parser])
+    columns = _read_columns(path, ["unit_id", "t", col], [_INT, _INT, _CODE if col == "w" else _FLOAT])
     if columns is None:
-        _raise_first_panel_error(path, rows, lines, col, n, t_lo, t_hi)
+        _raise_first_panel_error(path, col, n, t_lo, t_hi)
     uid, t, values = columns
     if not ((uid >= 1) & (uid <= n) & (t >= t_lo) & (t <= t_hi) & np.isfinite(values)).all():
-        _raise_first_panel_error(path, rows, lines, col, n, t_lo, t_hi)
+        _raise_first_panel_error(path, col, n, t_lo, t_hi)
     width = t_hi - t_lo + 1
     keys = (uid - 1) * width + (t - t_lo)
     counts = np.bincount(keys, minlength=n * width)
     if counts.max(initial=0) > 1:
-        _raise_first_panel_error(path, rows, lines, col, n, t_lo, t_hi)
+        _raise_first_panel_error(path, col, n, t_lo, t_hi)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         i, t_missing = divmod(int(missing[0]), width)
@@ -291,6 +354,12 @@ def _load_panel_file(path: Path, col: str, n: int, t_lo: int, t_hi: int) -> np.n
 
 def _load_units(root: Path):
     path = root / "units.csv"
+    columns = _plain_numeric_columns(path, ["unit_id", "eligible"], [_INT, _CODE])
+    if columns is not None:  # no covariates: the rows below would raise nothing if these hold
+        ids, eligible = columns
+        eligible_ids = np.sort(ids[eligible == 1])
+        if np.unique(ids).size == ids.size and np.array_equal(eligible_ids, np.arange(1, eligible_ids.size + 1)):
+            return eligible_ids.size, np.sort(ids[eligible == 0]).tolist(), None
     header, rows, lines = _read_table(path, ["unit_id", "eligible"], allow_extra=True)
     cov_names = header[2:]
     for j, name in enumerate(cov_names):
@@ -332,8 +401,12 @@ def _load_units(root: Path):
     return n, ineligible_ids, covariates
 
 
-def _raise_first_graph_error(path: Path, rows: list, lines: np.ndarray, n_eligible: int, ineligible_ids: list[int]):
+_GRAPH_HEADER = ["treatment_unit_id", "connected_unit_id", "weight"]
+
+
+def _raise_first_graph_error(path: Path, n_eligible: int, ineligible_ids: list[int]):
     """Raise at the first row, in file order, that fails a graph check, running each row's checks in turn."""
+    _, rows, lines = _read_table(path, _GRAPH_HEADER)
     ineligible = set(ineligible_ids)
     for lineno, row in zip(lines.tolist(), rows):
         if len(row) != 3:
@@ -349,14 +422,13 @@ def _raise_first_graph_error(path: Path, rows: list, lines: np.ndarray, n_eligib
 
 def _load_graph(root: Path, n_eligible: int, ineligible_ids: list[int]) -> BipartiteGraph:
     path = root / "graph.csv"
-    _, rows, lines = _read_table(path, ["treatment_unit_id", "connected_unit_id", "weight"])
-    columns = _parse_columns(rows, [(int, np.int64), (int, np.int64), (float, np.float64)])
+    columns = _read_columns(path, _GRAPH_HEADER, [_INT, _INT, _FLOAT])
     if columns is None:
-        _raise_first_graph_error(path, rows, lines, n_eligible, ineligible_ids)
+        _raise_first_graph_error(path, n_eligible, ineligible_ids)
     et, ec, ew = columns
     known = ((et >= 1) & (et <= n_eligible)) | np.isin(et, ineligible_ids)
     if not (known & np.isfinite(ew) & (ew >= 0)).all():
-        _raise_first_graph_error(path, rows, lines, n_eligible, ineligible_ids)
+        _raise_first_graph_error(path, n_eligible, ineligible_ids)
     return BipartiteGraph(
         treatment_ids=list(range(1, n_eligible + 1)) + ineligible_ids,
         eligible=[True] * n_eligible + [False] * len(ineligible_ids),

@@ -4,6 +4,7 @@ import pytest
 
 from interference_lab.bench import run_scenario, scenario_from_dict, simulate_scenario_dataset
 from interference_lab.cli import cli_main, load_scenario_configs
+from interference_lab.core import METHODS
 from interference_lab.dataio import save_dataset
 
 from reference_rng import child_seed
@@ -227,18 +228,50 @@ def test_directory_as_input_file_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def hand_written_report(methods, sign_agreement, bias_direction=None):
+    scenario = {"name": "x", "config": {}, "n_replicates": 1, "truth_mean": 0.0, "methods": methods,
+                "sign_agreement": sign_agreement, "bias_direction": bias_direction, "warnings": {},
+                "metadata": {}, "replicates": []}
+    return {"schema": 1, "scenarios": [scenario]}
+
+
+FULL_AGREEMENT = {a: {b: None for b in METHODS} for a in METHODS}
+
+
 @pytest.mark.parametrize("report, message", [
     ([1, 2], "report must be a JSON object, got list"),
     ({"schema": 1}, "report is missing required keys ['scenarios']"),
     ({"schema": 1, "scenarios": [{"name": "x"}]},
      "report.scenarios[0] is missing required keys ['config', 'n_replicates', 'truth_mean', 'methods', "
      "'sign_agreement', 'bias_direction', 'warnings', 'metadata', 'replicates']"),
-], ids=["list", "no_scenarios", "bare_scenario"])
+    (hand_written_report({m: {"n_ok": 1} for m in METHODS}, FULL_AGREEMENT),
+     "report.scenarios[0].methods.basic has n_ok 1 but is missing keys "
+     "['estimate_mean', 'estimate_sd', 'significance_rate', 'bias_mean']"),
+    (hand_written_report({m: {} for m in METHODS}, {}),
+     "report.scenarios[0].methods.basic is missing required keys ['n_ok']"),
+    (hand_written_report({m: {"n_ok": 0} for m in METHODS}, {}),
+     "report.scenarios[0].sign_agreement is missing required keys ['basic', 'network_aware', 'cmp']"),
+    (hand_written_report({m: {"n_ok": 0} for m in METHODS}, dict(FULL_AGREEMENT, cmp={"basic": None})),
+     "report.scenarios[0].sign_agreement.cmp is missing required keys ['network_aware', 'cmp']"),
+    (hand_written_report({m: {"n_ok": 0} for m in METHODS}, FULL_AGREEMENT, {"expected": "positive"}),
+     "report.scenarios[0].bias_direction is missing required keys ['basic_match_rate', 'verdict']"),
+    (hand_written_report({m: {"n_ok": 0} for m in METHODS}, FULL_AGREEMENT, [1]),
+     "report.scenarios[0].bias_direction must be a JSON object, got list"),
+], ids=["list", "no_scenarios", "bare_scenario", "summary_without_fields", "empty_summaries",
+        "empty_sign_agreement", "partial_sign_agreement", "bias_direction_without_verdict",
+        "bias_direction_list"])
 def test_malformed_report_exits_one(tmp_path, capsys, report, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     assert cli_main(["report", "--in", str(path)]) == 1
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_hand_written_report_of_failed_methods_renders(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(hand_written_report({m: {"n_ok": 0} for m in METHODS}, FULL_AGREEMENT)))
+    assert cli_main(["report", "--in", str(path)]) == 0
+    assert "| cmp | failed (0) | - | - | - |" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

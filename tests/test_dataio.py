@@ -1,11 +1,13 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_dataio
+from interference_lab import dataio
 from interference_lab.core import BipartiteGraph, OutcomePanel, UnitCovariates, datasets_equal, validate_dataset
 from interference_lab.dataio import DataFormatError, load_dataset, save_dataset
 from interference_lab.sim import DgpParams, GraphParams, RolloutParams, simulate_experiment
@@ -372,12 +374,40 @@ LOAD_CORPUS = {
 }
 
 
+# A units.csv without covariates is plain numeric; rows 2..4 are the eligible units, row 5 the ineligible unit 4
+PLAIN_UNITS_CORPUS = {
+    "plain_units": ("units.csv", lambda text: text, "ok"),
+    "unit_id_zero_padded": ("units.csv", cell(3, 0, "02"), "ok"),
+    "duplicate_ineligible": ("units.csv", append("4,0"), "units.csv: duplicate unit ids"),
+    "duplicate_eligible": ("units.csv", append("2,1"), "units.csv: duplicate unit ids"),
+    "eligible_gap": ("units.csv", cell(4, 0, "5"), "units.csv: eligible unit ids must be exactly 1..N"),
+    "eligible_zero_padded": ("units.csv", cell(3, 1, "01"), "units.csv:3: eligible must be 0 or 1, got '01'"),
+    "eligible_plus": ("units.csv", cell(3, 1, "+1"), "units.csv:3: eligible must be 0 or 1, got '+1'"),
+    "eligible_two": ("units.csv", cell(5, 1, "2"), "units.csv:5: eligible must be 0 or 1, got '2'"),
+    "unit_id_huge": ("units.csv", cell(5, 0, "99999999999999999999"),
+                     "units.csv:5: unit_id beyond the 64-bit integer range: '99999999999999999999'"),
+    "no_units": ("units.csv", lambda text: "unit_id,eligible\n", "units.csv: no units listed"),
+}
+
+
 @pytest.mark.parametrize("case", sorted(LOAD_CORPUS))
 def test_load_matches_reference_reader(tmp_path, case):
-    name, edit, expected = LOAD_CORPUS[case]
-    save_dataset(small_dataset(with_covariates=True), tmp_path)
+    assert_corpus_case(tmp_path, small_dataset(with_covariates=True), *LOAD_CORPUS[case])
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_UNITS_CORPUS))
+def test_plain_units_match_reference_reader(tmp_path, case):
+    assert_corpus_case(tmp_path, small_dataset(), *PLAIN_UNITS_CORPUS[case])
+
+
+def write_corpus_case(tmp_path, d, name, edit):
+    save_dataset(d, tmp_path)
     path = tmp_path / name
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8", newline="")
+
+
+def assert_corpus_case(tmp_path, d, name, edit, expected):
+    write_corpus_case(tmp_path, d, name, edit)
     kind, result = assert_same_outcome(tmp_path)
     if expected == "ok":
         assert kind == "ok", result
@@ -412,6 +442,20 @@ def test_oversized_cell_names_file_and_line(tmp_path, name):
     assert str(err.value).startswith(f"{name}:3: field larger than field limit")
 
 
+@pytest.mark.parametrize("line, last", [(4, False), (16, True)], ids=["inner_line", "unterminated_last_line"])
+def test_digit_cell_past_the_field_limit_fails_as_in_the_reference(tmp_path, line, last):
+    """A finite all-digit y cell one character past csv's field limit: numpy would read it, csv refuses it."""
+    save_dataset(small_dataset(with_covariates=True), tmp_path)
+    path = tmp_path / "outcomes.csv"
+    text = cell(line, 2, "0" * (csv.field_size_limit() + 1))(path.read_text())
+    path.write_text(text.rstrip("\n") if last else text)
+    with pytest.raises(csv.Error) as reference:  # the reference names no file and line
+        reference_dataio.load_dataset(tmp_path)
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == f"outcomes.csv:{line}: {reference.value}"
+
+
 @pytest.mark.parametrize("meta", ["[1]", "3", '"staggered"', "null"])
 def test_meta_must_be_a_json_object(tmp_path, meta):
     save_dataset(small_dataset(), tmp_path)
@@ -430,3 +474,59 @@ def test_meta_rejects_json_booleans(tmp_path, key, message, value):
     path.write_text(json.dumps(meta))
     with pytest.raises(DataFormatError, match=f"^meta.json: {key} must be {message}, got {value}$"):
         load_dataset(tmp_path)
+
+
+# --- the numeric tier: plain files never reach csv.reader ----------------------------------------
+
+
+def csv_reader_only_for(monkeypatch, names):
+    """Make `csv.reader` raise for any file not named in `names`; returns the names it read."""
+    real_reader = csv.reader
+    read = []
+
+    def reader(f, *args, **kwargs):
+        name = Path(f.name).name
+        if name not in names:
+            raise AssertionError(f"{name} went through csv.reader")
+        read.append(name)
+        return real_reader(f, *args, **kwargs)
+
+    monkeypatch.setattr(dataio.csv, "reader", reader)
+    return read
+
+
+def mid_size_dataset(with_covariates):
+    d = simulate_experiment(
+        GraphParams(n_eligible=500, n_ineligible=60, n_connected=700, avg_degree=3.0, weight_mode="lognormal"),
+        DgpParams(beta=1.0, gamma=0.5, rho=0.2, sigma=1.0, baseline_mean=0.0, baseline_sd=1e6),
+        RolloutParams((2, 4), (0.3, 0.6)),
+        T=6,
+        seed=13,
+    )
+    y = d.outcomes.outcomes.copy()
+    y.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    covariates = UnitCovariates(np.random.default_rng(4).normal(size=(d.n_units, 2))) if with_covariates else None
+    return dataclasses.replace(d, outcomes=OutcomePanel(y), covariates=covariates)
+
+
+@pytest.mark.parametrize("with_covariates", [False, True], ids=["plain", "covariates"])
+def test_saved_files_load_without_csv_reader(tmp_path, monkeypatch, with_covariates):
+    d = mid_size_dataset(with_covariates)
+    save_dataset(d, tmp_path)
+    # covariate cells of ineligible units are empty, so such a units.csv is not plain numeric
+    read = csv_reader_only_for(monkeypatch, {"units.csv"} if with_covariates else set())
+    loaded = load_dataset(tmp_path)
+    assert read == (["units.csv"] if with_covariates else [])
+    assert datasets_equal(d, loaded)
+    assert np.array_equal(loaded.outcomes.outcomes.view(np.int64), d.outcomes.outcomes.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["quoted_cells", "crlf", "blank_lines", "graph_blank_and_crlf",
+                                  "units_blank_and_crlf"])
+def test_non_plain_files_load_through_csv_reader(tmp_path, monkeypatch, case):
+    name, edit, expected = LOAD_CORPUS[case]
+    write_corpus_case(tmp_path, small_dataset(with_covariates=True), name, edit)
+    reference = reference_dataio.load_dataset(tmp_path)
+    read = csv_reader_only_for(monkeypatch, {"units.csv", name})
+    assert expected == "ok" and datasets_equal(load_dataset(tmp_path), reference)
+    assert name in read

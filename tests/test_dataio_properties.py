@@ -79,14 +79,15 @@ def test_round_trip_and_reference_bytes(d):
 
 
 TOKENS = ["", "0", "1", "2", "-1", " 1", "+1", "1_0", "٣", "1.5", "-0.0", "nan", "inf", "1e999", "x",
-          '"1"', '"1,2"', "99999999999999999999"]
+          '"1"', '"1,2"', "99999999999999999999", "01", "+0", "1.0", "1e1", "5.", ".5", "1e400"]
 
 
 @st.composite
 def mutations(draw):
     """(file name, edit): one adversarial change to a saved file's lines."""
     name = draw(st.sampled_from(["treatments.csv", "outcomes.csv", "graph.csv", "units.csv"]))
-    kind = draw(st.sampled_from(["cell", "cell", "delete", "duplicate", "blank", "swap", "extra", "crlf"]))
+    kind = draw(st.sampled_from(["cell", "cell", "delete", "duplicate", "blank", "swap", "extra", "crlf",
+                                 "no_final_newline", "header_only"]))
     line = draw(st.integers(0, 40))
     other = draw(st.integers(0, 40))
     col = draw(st.integers(0, 3))
@@ -109,6 +110,10 @@ def mutations(draw):
             lines[i], lines[j] = lines[j], lines[i]
         elif kind == "extra":
             lines[i] += "," + token
+        elif kind == "header_only":
+            del lines[1:]
+        elif kind == "no_final_newline":
+            return "\n".join(lines)
         out = "\n".join(lines) + "\n"
         return out.replace("\n", "\r\n") if kind == "crlf" else out
 
