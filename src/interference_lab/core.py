@@ -13,6 +13,7 @@ read-only arrays) and safe to share across concurrent readers.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,14 @@ from .rng import substreams
 DESIGN_TAGS = ("staggered", "fixed", "free")
 METHODS = ("basic", "network_aware", "cmp")
 MAX_RESAMPLE_TRIES = 100
-# Bytes of one chunk's (draws, units) int64 count matrix in `bootstrap_estimate`: 16 draws of a thousand units,
-# few enough that a statistic's per-chunk arrays stay near a megabyte.
+# `bootstrap_estimate` scores its draws in chunks: as many (draws, units) int64 count rows as fit in CHUNK_BYTES,
+# but never fewer than MIN_CHUNK_DRAWS, so that a large panel still shares each chunk's fixed Python cost among
+# 16 draws (at 30 000 units a chunk is 3.75 MiB). Chunks whose count matrix reaches THREAD_CHUNK_BYTES (16 draws
+# of 8 192 units) are scored on a thread pool. One process gains from threads above about 4 500 units, but
+# `bench --jobs` workers already occupy the CPUs, and there threads slowed 10 000-unit replicates (README).
 CHUNK_BYTES = 1 << 17
+MIN_CHUNK_DRAWS = 16
+THREAD_CHUNK_BYTES = 1 << 20
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
@@ -310,6 +316,14 @@ class BootstrapConfig:
         check_count("n_replicates", self.n_replicates, 1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, stream: str, n: int,
                        statistic, valid=None) -> EffectEstimate:
     """Percentile interval over `bootstrap.n_replicates` unit resamples of `n` units.
@@ -321,11 +335,17 @@ def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, st
     `statistic(counts, draws)` scores a chunk of count rows, with draw indices `draws`, one value per row.
     A failure raises the error of the lowest-index failing draw, whether its validity rule never held or
     the statistic raised for it.
+
+    Chunks are fixed by `n` alone (see CHUNK_BYTES). When a chunk's count matrix reaches THREAD_CHUNK_BYTES,
+    the chunks are scored concurrently on a pool of min(usable CPUs, chunks) threads that lives only for this
+    call; each writes its own slice of the draws, and errors are raised in chunk order. So the result is the
+    serial loop's, provided `valid` and `statistic` are pure functions of their count rows and draw indices.
     """
     boot = np.empty(bootstrap.n_replicates)
     streams = substreams(bootstrap.seed, stream, range(bootstrap.n_replicates))
-    rows = max(1, CHUNK_BYTES // (8 * n))
-    for start in range(0, bootstrap.n_replicates, rows):
+    rows = max(MIN_CHUNK_DRAWS, CHUNK_BYTES // (8 * n))
+
+    def score(start: int) -> None:
         draws = range(start, min(start + rows, bootstrap.n_replicates))
         counts = np.empty((len(draws), n), dtype=np.int64)
         invalid = None
@@ -349,20 +369,38 @@ def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, st
                 raise
         if invalid is not None:
             raise invalid
+
+    starts = range(0, bootstrap.n_replicates, rows)
+    workers = min(_usable_cpus(), len(starts))
+    if workers > 1 and 8 * rows * n >= THREAD_CHUNK_BYTES:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            for future in [pool.submit(score, start) for start in starts]:
+                future.result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    else:
+        for start in starts:
+            score(start)
     return EffectEstimate.from_bootstrap(method, point, boot)
 
 
 def _graph_violations(g: BipartiteGraph) -> list[str]:
+    # The graph keeps its ids sorted and its edges sorted by (treatment, connected), so equal ids are neighbours
+    # and each repeated edge is one run of equal adjacent pairs.
     out = []
-    if len(np.unique(g.treatment_ids)) != g.n_treatment_units:
+    if (g.treatment_ids[1:] == g.treatment_ids[:-1]).any():
         out.append("graph.unit_ids: duplicate treatment unit ids")
-    if len(np.unique(g.connected_ids)) != g.n_connected_units:
+    if (g.connected_ids[1:] == g.connected_ids[:-1]).any():
         out.append("graph.unit_ids: duplicate connected unit ids")
-    pairs = np.stack([g.edge_treatment, g.edge_connected], axis=1)
     if g.n_edges:
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        for (tid, cid), cnt in zip(uniq[counts > 1], counts[counts > 1]):
-            out.append(f"graph.duplicate_edge: ({tid}, {cid}) appears {cnt} times")
+        et, ec = g.edge_treatment, g.edge_connected
+        run_starts = np.flatnonzero(np.r_[True, (et[1:] != et[:-1]) | (ec[1:] != ec[:-1])])
+        run_lengths = np.diff(np.r_[run_starts, g.n_edges])
+        for e, cnt in zip(run_starts[run_lengths > 1], run_lengths[run_lengths > 1]):
+            out.append(f"graph.duplicate_edge: ({et[e]}, {ec[e]}) appears {cnt} times")
     for e in np.flatnonzero(~g.edge_treatment_found):
         out.append(f"graph.unknown_treatment_unit: edge {e} references id {g.edge_treatment[e]}")
     for e in np.flatnonzero(~g.edge_connected_found):

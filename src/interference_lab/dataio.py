@@ -24,7 +24,10 @@ tiers, which give the same arrays:
   no error or warning from `np.loadtxt`. Within that alphabet `csv.reader`
   splits each line at its commas, and numpy's integer and float parsers
   accept a subset of what Python's `int` and `float` accept, with the same
-  values.
+  values. The file is read in blocks of about READ_BLOCK_BYTES, each ending
+  at a line end; each block is checked and parsed on its own, every rule
+  above being one about whole lines, and the blocks' columns are joined. A
+  block that fails sends the whole file to the other tier.
 - Every other file is tokenised by `csv.reader` (its quoting and line-ending
   rules are the accepted dialect) and each column is parsed by Python's own
   `int` or `float`.
@@ -36,13 +39,15 @@ Python, in file order, each row's checks run in turn, and the first row that
 fails one is named in the `file:line` error (units.csv is walked this way
 whenever it is not plain numeric). So the accepted language, the values and
 the errors are those of the `csv` tier. Saving builds each file's text from
-whole columns and writes it once.
+columns, SAVE_BLOCK_ROWS units (or edges) at a time, and writes each block
+as it is built.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -62,6 +67,10 @@ from .core import (
 )
 
 _INT64 = np.iinfo(np.int64)
+# Rows (units of a panel, edges of the graph) that `save_dataset` formats at a time, and bytes that the plain
+# numeric tier reads at a time, extended to the end of the line.
+SAVE_BLOCK_ROWS = 4096
+READ_BLOCK_BYTES = 1 << 20
 
 
 class DataFormatError(ValueError):
@@ -74,16 +83,27 @@ class DataFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_blocks(path: Path, header: str, blocks) -> None:
+    """Write `header`, then each text of the iterable `blocks` as it is built."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(text)
+        f.write(header)
+        for text in blocks:
+            f.write(text)
 
 
-def _panel_text(header: str, ids: range, t_first: int, columns: list[list]) -> str:
-    """Long-format rows `id,t,value` of a unit-by-period panel given as one list per period."""
+def _block_rows(template: str, columns: list[np.ndarray]):
+    """`template` formatted with the row's value of each column, for every row, joined in blocks of
+    SAVE_BLOCK_ROWS rows. The values become Python ints and floats, which format by repr, the shortest
+    round-trip form."""
+    for lo in range(0, len(columns[0]), SAVE_BLOCK_ROWS):
+        yield "".join(map(template.format, *(column[lo:lo + SAVE_BLOCK_ROWS].tolist() for column in columns)))
+
+
+def _write_panel(path: Path, header: str, t_first: int, matrix: np.ndarray) -> None:
+    """Long-format rows `id,t,value` of a unit-by-period panel, ids from 1."""
     # One format call per unit: the template holds every period's row.
-    template = "".join(f"{{0}},{t_first + t},{{{t + 1}!r}}\n" for t in range(len(columns)))
-    return header + "".join(map(template.format, ids, *columns))
+    template = "".join(f"{{0}},{t_first + t},{{{t + 1}!r}}\n" for t in range(matrix.shape[1]))
+    _write_blocks(path, header, _block_rows(template, [np.arange(1, len(matrix) + 1), *matrix.T]))
 
 
 def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
@@ -106,30 +126,23 @@ def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
                 "not representable in graph.csv"
             )
 
-    ids = range(1, n + 1)
     k = d.covariates.n_features if d.covariates is not None else 0
     template = "{0},1" + "".join(f",{{{j + 1}!r}}" for j in range(k)) + "\n"
-    covariate_columns = d.covariates.values.T.tolist() if k else []
-    units = [",".join(["unit_id", "eligible"] + [f"x_{j + 1}" for j in range(k)]) + "\n"]
-    units += map(template.format, ids, *covariate_columns)
+    units = _block_rows(template, [np.arange(1, n + 1), *(d.covariates.values.T if k else [])])
     if d.graph is not None:
         # BipartiteGraph keeps its units sorted by id and its edges by (treatment, connected)
-        ineligible = d.graph.treatment_ids[~d.graph.eligible].tolist()
-        units += map(f"{{}},0{',' * k}\n".format, ineligible)
-    _write_text(out / "units.csv", "".join(units))
-
-    # Both panels hold Python ints and floats, whose repr is the shortest round-trip form.
-    _write_text(out / "treatments.csv",
-                _panel_text("unit_id,t,w\n", ids, 1, d.treatments.assignments.T.tolist()))
-    _write_text(out / "outcomes.csv",
-                _panel_text("unit_id,t,y\n", ids, 0, d.outcomes.outcomes.T.tolist()))
+        ineligible = d.graph.treatment_ids[~d.graph.eligible]
+        units = itertools.chain(units, _block_rows(f"{{}},0{',' * k}\n", [ineligible]))
+    _write_blocks(out / "units.csv", ",".join(["unit_id", "eligible"] + [f"x_{j + 1}" for j in range(k)]) + "\n",
+                  units)
+    _write_panel(out / "treatments.csv", "unit_id,t,w\n", 1, d.treatments.assignments)
+    _write_panel(out / "outcomes.csv", "unit_id,t,y\n", 0, d.outcomes.outcomes)
 
     graph_file = out / "graph.csv"
     if d.graph is not None:
         g = d.graph
-        edges = map("{},{},{!r}\n".format, g.edge_treatment.tolist(), g.edge_connected.tolist(),
-                    g.edge_weight.tolist())
-        _write_text(graph_file, "treatment_unit_id,connected_unit_id,weight\n" + "".join(edges))
+        _write_blocks(graph_file, "treatment_unit_id,connected_unit_id,weight\n",
+                      _block_rows("{},{},{!r}\n", [g.edge_treatment, g.edge_connected, g.edge_weight]))
     elif graph_file.exists():
         graph_file.unlink()
 
@@ -211,22 +224,13 @@ def _parse_columns(rows: list, parsers: list) -> list[np.ndarray] | None:
         return None
 
 
-def _plain_numeric_columns(path: Path, header: list[str], parsers: list) -> list[np.ndarray] | None:
-    """The columns `_parse_columns` returns for a plain numeric file, read by `np.loadtxt`, or None for any
-    other file (see the module docstring). Only the last of `parsers` may be `_CODE`."""
+def _plain_numeric_block(body: bytes, parsers: list, dtype: np.dtype):
+    """The structured rows of whole `\\n`-ended lines in `body`, or None unless they are plain numeric."""
     import io
     import warnings
 
-    try:
-        data = path.read_bytes()
-    except OSError:
+    if body.translate(None, _PLAIN_BYTES):
         return None
-    head = (",".join(header) + "\n").encode()
-    body = data[len(head):]
-    if not data.startswith(head) or not body or body.translate(None, _PLAIN_BYTES):
-        return None
-    if not body.endswith(b"\n"):
-        body += b"\n"
     ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
     lengths = np.diff(ends, prepend=-1) - 1
     if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
@@ -234,14 +238,49 @@ def _plain_numeric_columns(path: Path, header: list[str], parsers: list) -> list
     # Each line ends in its own `\n`, so these counts cover every line only if each last cell is 0 or 1.
     if parsers[-1] == _CODE and body.count(b",0\n") + body.count(b",1\n") != ends.size:
         return None
-    dtype = np.dtype([(f"c{j}", column_dtype) for j, (_, column_dtype) in enumerate(parsers)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # older numpy reads `1.0` into an int column with a DeprecationWarning
         try:
-            table = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            return np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
-    return [np.ascontiguousarray(table[name]) for name in dtype.names]
+
+
+def _line_blocks(f):
+    """The rest of the binary file `f` in blocks of about READ_BLOCK_BYTES, each ending at a line end; an
+    unterminated last line gets its `\\n`."""
+    rest = b""
+    for data in iter(lambda: f.read(READ_BLOCK_BYTES), b""):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield rest + data[:cut]
+            rest = data[cut:]
+        else:
+            rest += data
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_numeric_columns(path: Path, header: list[str], parsers: list) -> list[np.ndarray] | None:
+    """The columns `_parse_columns` returns for a plain numeric file, read block by block by `np.loadtxt`, or
+    None for any other file (see the module docstring). Only the last of `parsers` may be `_CODE`."""
+    head = (",".join(header) + "\n").encode()
+    dtype = np.dtype([(f"c{j}", column_dtype) for j, (_, column_dtype) in enumerate(parsers)])
+    tables = []
+    try:
+        with open(path, "rb") as f:
+            if f.read(len(head)) != head:
+                return None
+            for body in _line_blocks(f):
+                table = _plain_numeric_block(body, parsers, dtype)
+                if table is None:
+                    return None
+                tables.append(table)
+    except OSError:
+        return None
+    if not tables:
+        return None
+    return [np.concatenate([table[name] for table in tables]) for name in dtype.names]
 
 
 def _read_columns(path: Path, header: list[str], parsers: list) -> list[np.ndarray] | None:

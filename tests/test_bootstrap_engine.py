@@ -168,33 +168,49 @@ def failing_statistics(fail_at_copies):
     return batched, per_draw
 
 
+def force_threads(monkeypatch, per_chunk):
+    """Chunks of `per_chunk` draws whatever n, scored on a four-thread pool whatever their size."""
+    monkeypatch.setattr(core, "MIN_CHUNK_DRAWS", per_chunk)
+    monkeypatch.setattr(core, "CHUNK_BYTES", 0)
+    monkeypatch.setattr(core, "THREAD_CHUNK_BYTES", 0)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+
+
 @pytest.mark.parametrize("valid_calls", [None, 0, 3, 40])
 @pytest.mark.parametrize("fail_at_copies", [3, 99])
-def test_engine_raises_the_lowest_failing_draws_error(valid_calls, fail_at_copies):
+def test_engine_raises_the_lowest_failing_draws_error(monkeypatch, valid_calls, fail_at_copies):
     """Statistic failures and a validity rule that stops holding after `valid_calls` calls: the engine
-    raises what the per-draw loop raised first."""
+    raises what the per-draw loop raised first. The stateful rule only holds draw by draw on the serial
+    path; without one, the engine also runs with its thread pool forced on, in chunks of 7 draws."""
     n, boot = 10, BootstrapConfig(60, seed=9)
     batched, per_draw = failing_statistics(fail_at_copies)
+    engines = [(ref.bootstrap_estimate, per_draw, False), (bootstrap_estimate, batched, False)]
+    if valid_calls is None:
+        engines.append((bootstrap_estimate, batched, True))
     outcomes = []
-    for engine, statistic in ((bootstrap_estimate, batched), (ref.bootstrap_estimate, per_draw)):
+    for engine, statistic, threaded in engines:
         calls = [0]
 
         def valid(_):
             calls[0] += 1
             return calls[0] <= valid_calls
 
+        if threaded:
+            force_threads(monkeypatch, 7)
         try:
             est = engine("basic", 1.0, boot, "basic-boot", n, statistic,
                          valid=None if valid_calls is None else valid)
             outcomes.append(("ok", est.ci_low, est.ci_high))
         except (RuntimeError, ValueError) as exc:
             outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
-def test_bootstrap_memory_stays_within_the_chunk_budget():
-    """At n=30 000 and B=64 no (B, n) array is built: peak traced memory stays near one chunk."""
-    n, B = 30_000, 64
+def test_bootstrap_memory_stays_within_the_chunk_budget(monkeypatch):
+    """At n=30 000 and B=1 024 no (B, n) array is built: peak traced memory stays near the chunks in flight,
+    one MIN_CHUNK_DRAWS-row chunk per thread (two here)."""
+    n, B, threads = 30_000, 1024, 2
+    monkeypatch.setattr(core, "_usable_cpus", lambda: threads)
     tracemalloc.start()
     try:
         est = bootstrap_estimate("cmp", 0.0, BootstrapConfig(B, seed=1), "cmp-boot", n,
@@ -203,13 +219,15 @@ def test_bootstrap_memory_stays_within_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert est.n_bootstrap == B
-    chunk = max(CHUNK_BYTES, 8 * n)  # a chunk holds at least one count row
-    assert peak < 4 * chunk < B * n * 8 / 4
+    chunk = max(CHUNK_BYTES, 8 * n * core.MIN_CHUNK_DRAWS)
+    assert chunk >= core.THREAD_CHUNK_BYTES  # the threaded path ran
+    assert peak < 4 * threads * chunk < B * n * 8 / 4
 
 
 @pytest.mark.parametrize("T", [20, 12])
 def test_estimates_do_not_depend_on_the_draws_per_chunk(monkeypatch, T):
-    """One draw per chunk is what a 30 000-unit bootstrap runs; the hoisted rows serve every chunk unchanged."""
+    """One draw per chunk scores each draw alone; the hoisted rows serve every chunk unchanged, and so does the
+    thread pool, forced on at this size."""
     (cfg,) = load_scenario_configs("upward_bias")
     graph = dataclasses.replace(cfg.graph, n_eligible=300, n_ineligible=60, n_connected=450)
     cfg = dataclasses.replace(cfg, T=T, graph=graph)
@@ -223,6 +241,10 @@ def test_estimates_do_not_depend_on_the_draws_per_chunk(monkeypatch, T):
     }
     results = []
     for per_chunk in (1, 3, 16, N_BOOT):
+        monkeypatch.setattr(core, "MIN_CHUNK_DRAWS", 1)
         monkeypatch.setattr(core, "CHUNK_BYTES", 8 * d.n_units * per_chunk)
+        results.append({name: run().to_dict() for name, run in runs.items()})
+    for per_chunk in (3, 16):
+        force_threads(monkeypatch, per_chunk)
         results.append({name: run().to_dict() for name, run in runs.items()})
     assert all(r == results[0] for r in results[1:])

@@ -141,6 +141,38 @@ def test_duplicate_edge_flagged(dataset):
     assert any("duplicate_edge" in v and "(1, 1)" in v for v in violations)
 
 
+def unique_graph_violations(g):
+    """The id and duplicate-edge messages as `np.unique` finds them, on the graph's canonical arrays."""
+    out = []
+    if len(np.unique(g.treatment_ids)) != g.n_treatment_units:
+        out.append("graph.unit_ids: duplicate treatment unit ids")
+    if len(np.unique(g.connected_ids)) != g.n_connected_units:
+        out.append("graph.unit_ids: duplicate connected unit ids")
+    if g.n_edges:
+        pairs = np.stack([g.edge_treatment, g.edge_connected], axis=1)
+        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+        for (tid, cid), cnt in zip(uniq[counts > 1], counts[counts > 1]):
+            out.append(f"graph.duplicate_edge: ({tid}, {cid}) appears {cnt} times")
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_duplicate_ids_and_edges_match_the_unique_formulation(seed):
+    """Shuffled edge lists with repeated edges, and sometimes repeated unit ids, give the messages, in the
+    order, that `np.unique` over the (treatment, connected) pairs gives."""
+    rng = np.random.default_rng(seed)
+    n_t, n_c = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    treatment_ids = rng.permutation(np.arange(-3, n_t - 3).repeat(rng.integers(1, 3 if seed % 2 else 2, n_t)))
+    connected_ids = rng.permutation(np.arange(n_c).repeat(rng.integers(1, 3 if seed % 3 else 2, n_c)))
+    m = int(rng.integers(0, 30))
+    et, ec = rng.choice(treatment_ids, m), rng.choice(connected_ids, m)
+    g = BipartiteGraph(treatment_ids=treatment_ids, eligible=np.ones(len(treatment_ids), dtype=bool),
+                       connected_ids=connected_ids, edge_treatment=et, edge_connected=ec, edge_weight=rng.random(m))
+    expected = unique_graph_violations(g)
+    got = [v for v in core._graph_violations(g) if v.startswith(("graph.unit_ids", "graph.duplicate_edge"))]
+    assert got == expected
+
+
 MUTATIONS = {
     "pre_period_end_too_large": lambda d: dataclasses.replace(d, pre_period_end=4),
     "pre_period_end_negative": lambda d: dataclasses.replace(d, pre_period_end=-1),

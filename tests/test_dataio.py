@@ -193,12 +193,16 @@ SAVE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SAVE_CASES))
-def test_save_bytes_match_reference_writer(tmp_path, case):
+def test_save_bytes_match_reference_writer(tmp_path, monkeypatch, case):
+    """Also in write blocks of 4 rows, which split every file of these datasets several times."""
     d = SAVE_CASES[case]()
     save_dataset(d, tmp_path / "new")
     reference_dataio.save_dataset(d, tmp_path / "reference")
     assert read_bytes(tmp_path / "new") == read_bytes(tmp_path / "reference")
     assert datasets_equal(d, load_dataset(tmp_path / "new"))
+    monkeypatch.setattr(dataio, "SAVE_BLOCK_ROWS", 4)
+    save_dataset(d, tmp_path / "blocks")
+    assert read_bytes(tmp_path / "blocks") == read_bytes(tmp_path / "reference")
 
 
 def test_edge_floats_survive_a_second_save(tmp_path):
@@ -511,6 +515,8 @@ def mid_size_dataset(with_covariates):
 
 @pytest.mark.parametrize("with_covariates", [False, True], ids=["plain", "covariates"])
 def test_saved_files_load_without_csv_reader(tmp_path, monkeypatch, with_covariates):
+    """Also in read blocks that end inside a line, or (5 bytes) inside a cell, and with the last outcome line
+    unterminated."""
     d = mid_size_dataset(with_covariates)
     save_dataset(d, tmp_path)
     # covariate cells of ineligible units are empty, so such a units.csv is not plain numeric
@@ -519,6 +525,12 @@ def test_saved_files_load_without_csv_reader(tmp_path, monkeypatch, with_covaria
     assert read == (["units.csv"] if with_covariates else [])
     assert datasets_equal(d, loaded)
     assert np.array_equal(loaded.outcomes.outcomes.view(np.int64), d.outcomes.outcomes.view(np.int64))
+    path = tmp_path / "outcomes.csv"
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    for block_bytes in (5, 100):
+        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
+        assert datasets_equal(d, load_dataset(tmp_path))
+    assert read == (["units.csv"] * 3 if with_covariates else [])
 
 
 @pytest.mark.parametrize("case", ["quoted_cells", "crlf", "blank_lines", "graph_blank_and_crlf",
@@ -530,3 +542,34 @@ def test_non_plain_files_load_through_csv_reader(tmp_path, monkeypatch, case):
     read = csv_reader_only_for(monkeypatch, {"units.csv", name})
     assert expected == "ok" and datasets_equal(load_dataset(tmp_path), reference)
     assert name in read
+
+
+# --- block-wise save and load ----------------------------------------------------------------------
+
+
+# (file, line, column, new cell, the error after `file:line: `, or None when the edited file still loads)
+LATER_BLOCK_CORPUS = {
+    "y_nan": ("outcomes.csv", 900, 2, "nan", "non-finite y: 'nan'"),
+    "y_quoted": ("outcomes.csv", 1700, 2, '"1.5"', None),
+    "w_two": ("treatments.csv", 1500, 2, "2", "w must be 0 or 1, got '2'"),
+    "unit_id_range": ("treatments.csv", 2000, 0, "999", "unit_id 999 outside 1..500"),
+    "weight_negative": ("graph.csv", 1200, 2, "-1.0", "negative weight -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATER_BLOCK_CORPUS))
+def test_bad_row_in_a_later_read_block_falls_back_to_csv(tmp_path, monkeypatch, case):
+    """A row edited past the first two 4 KiB read blocks sends the whole file to the csv tier, which loads it or
+    names the row, as the reference reader does."""
+    name, line, column, value, message = LATER_BLOCK_CORPUS[case]
+    write_corpus_case(tmp_path, mid_size_dataset(with_covariates=False), name, cell(line, column, value))
+    assert len("".join((tmp_path / name).read_text().splitlines(True)[:line - 1])) > 2 * 4096
+    reference = load_outcome(reference_dataio.load_dataset, tmp_path)
+    monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", 4096)
+    read = csv_reader_only_for(monkeypatch, {name})
+    got = load_outcome(load_dataset, tmp_path)
+    assert name in read
+    if message is None:
+        assert got[0] == reference[0] == "ok" and datasets_equal(got[1], reference[1])
+    else:
+        assert got == reference == ("DataFormatError", f"{name}:{line}: {message}")
