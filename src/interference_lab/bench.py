@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, METHODS, check_count, check_flag, check_int
+from .core import (BootstrapConfig, EffectEstimate, ExperimentDataset, METHODS, check_count, check_flag, check_int,
+                   share_cpus)
 from .est_basic import estimate_basic
 from .est_cmp import CmpConfig, estimate_tte_cmp
 from .est_network import estimate_network
@@ -362,8 +363,9 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> BenchReport:
     indices = list(range(1, cfg.replicates + 1))
     workers = min(jobs, cfg.replicates)
     if workers > 1:
-        # the fork start method launches every worker up front: never more than there are replicates
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method launches every worker up front: never more than there are replicates. The
+        # workers keep the CPUs busy, so each one's bootstrap threads get only its share of them.
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus, initargs=(workers,)) as pool:
             records = list(pool.map(_run_replicate, [cfg] * len(indices), indices, chunksize=1))
     else:
         records = [_run_replicate(cfg, r) for r in indices]

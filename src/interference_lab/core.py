@@ -70,13 +70,37 @@ def check_flag(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def _nondecreasing(major: np.ndarray, minor: np.ndarray | None = None) -> bool:
+    """Whether 1-d `major`, ties broken by `minor` when it is given, is in nondecreasing order: the order a
+    stable sort leaves as it is."""
+    if minor is None:
+        return bool((major[1:] >= major[:-1]).all())
+    ties = major[1:] == major[:-1]
+    return bool(((major[1:] > major[:-1]) | (ties & (minor[1:] >= minor[:-1]))).all())
+
+
+def row_classes(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, number of classes) of a 2-d array's rows: rows with equal values share a label, `-0.0` being
+    equal to `0.0`. Labels number the distinct rows in lexicographic order, as
+    `np.unique(rows, axis=0, return_inverse=True)` does, from one lexsort rather than its structured sort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    labels = np.empty(len(rows), dtype=np.intp)
+    labels[order] = np.cumsum(starts) - 1
+    return labels, int(np.count_nonzero(starts))
+
+
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Two-sided interaction structure with eligibility flags and edge weights.
 
     Edges run from treatment units to connected units; `edge_weight` holds the
     nonnegative interaction weight used when aggregating edge-level outcomes
-    to the treatment side. Construction also locates each edge's endpoints:
+    to the treatment side. Construction puts the arrays in canonical order, units
+    by id and edges by (treatment, connected), with stable sorts; input already in
+    that order is kept without sorting. It also locates each edge's endpoints:
     `edge_treatment_pos`/`edge_connected_pos` index `treatment_ids`/`connected_ids`
     wherever the matching `*_found` mask is set.
     """
@@ -93,26 +117,27 @@ class BipartiteGraph:
     edge_connected_found: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Canonical order: units sorted by id, edges by (treatment, connected).
+        # `generate_graph` and `load_dataset` give canonical input, which the stable sorts would not move.
         tid = np.array(self.treatment_ids, dtype=np.int64)
         elig = np.array(self.eligible, dtype=bool)
         if elig.shape != tid.shape:
             raise ValueError("eligible flags must align with treatment_ids")
-        unit_order = np.argsort(tid, kind="stable")
         et = np.array(self.edge_treatment, dtype=np.int64)
         ec = np.array(self.edge_connected, dtype=np.int64)
         ew = np.array(self.edge_weight, dtype=float)
         if not (et.shape == ec.shape == ew.shape):
             raise ValueError("edge arrays must have equal length")
-        edge_order = np.lexsort((ec, et))
-        arrays = {
-            "treatment_ids": tid[unit_order],
-            "eligible": elig[unit_order],
-            "connected_ids": np.sort(np.array(self.connected_ids, dtype=np.int64)),
-            "edge_treatment": et[edge_order],
-            "edge_connected": ec[edge_order],
-            "edge_weight": ew[edge_order],
-        }
+        cid = np.array(self.connected_ids, dtype=np.int64)
+        if not _nondecreasing(tid):
+            unit_order = np.argsort(tid, kind="stable")
+            tid, elig = tid[unit_order], elig[unit_order]
+        if not _nondecreasing(cid):
+            cid.sort()
+        if not _nondecreasing(et, ec):
+            edge_order = np.lexsort((ec, et))
+            et, ec, ew = et[edge_order], ec[edge_order], ew[edge_order]
+        arrays = {"treatment_ids": tid, "eligible": elig, "connected_ids": cid,
+                  "edge_treatment": et, "edge_connected": ec, "edge_weight": ew}
         for side in ("treatment", "connected"):
             universe, ids = arrays[f"{side}_ids"], arrays[f"edge_{side}"]
             pos = np.searchsorted(universe, ids)
@@ -316,6 +341,18 @@ class BootstrapConfig:
         check_count("n_replicates", self.n_replicates, 1)
 
 
+# The CPUs this process's bootstrap threads may use; None means every usable CPU. `share_cpus` sets it in each
+# `bench --jobs` worker, so that the workers' threads together do not outnumber the CPUs.
+_cpu_budget: int | None = None
+
+
+def share_cpus(processes: int) -> None:
+    """Process-pool initializer: give this process's bootstrap threads its share of the usable CPUs among
+    `processes` processes (at least one, which keeps the serial path)."""
+    global _cpu_budget
+    _cpu_budget = max(1, _usable_cpus() // processes)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -337,9 +374,10 @@ def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, st
     the statistic raised for it.
 
     Chunks are fixed by `n` alone (see CHUNK_BYTES). When a chunk's count matrix reaches THREAD_CHUNK_BYTES,
-    the chunks are scored concurrently on a pool of min(usable CPUs, chunks) threads that lives only for this
-    call; each writes its own slice of the draws, and errors are raised in chunk order. So the result is the
-    serial loop's, provided `valid` and `statistic` are pure functions of their count rows and draw indices.
+    the chunks are scored concurrently on a pool of min(CPUs, chunks) threads that lives only for this call,
+    CPUs being the usable ones or, in a process-pool worker, the share `share_cpus` gave it. Each chunk writes
+    its own slice of the draws, and errors are raised in chunk order. So the result is the serial loop's,
+    provided `valid` and `statistic` are pure functions of their count rows and draw indices.
     """
     boot = np.empty(bootstrap.n_replicates)
     streams = substreams(bootstrap.seed, stream, range(bootstrap.n_replicates))
@@ -371,7 +409,7 @@ def bootstrap_estimate(method: str, point: float, bootstrap: BootstrapConfig, st
             raise invalid
 
     starts = range(0, bootstrap.n_replicates, rows)
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(_cpu_budget or _usable_cpus(), len(starts))
     if workers > 1 and 8 * rows * n >= THREAD_CHUNK_BYTES:
         from concurrent.futures import ThreadPoolExecutor
 

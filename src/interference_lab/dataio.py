@@ -118,8 +118,8 @@ def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
     T = d.n_periods
 
     if d.graph is not None:
-        used = np.unique(d.graph.edge_connected)
-        isolated = np.setdiff1d(d.graph.connected_ids, used)
+        g = d.graph
+        isolated = g.connected_ids[np.bincount(g.edge_connected_pos, minlength=g.n_connected_units) == 0]
         if isolated.size:
             raise ValueError(
                 f"graph has connected units with no edges (ids {isolated[:5].tolist()}...); "
@@ -140,7 +140,6 @@ def save_dataset(d: ExperimentDataset, path: str | Path) -> None:
 
     graph_file = out / "graph.csv"
     if d.graph is not None:
-        g = d.graph
         _write_blocks(graph_file, "treatment_unit_id,connected_unit_id,weight\n",
                       _block_rows("{},{},{!r}\n", [g.edge_treatment, g.edge_connected, g.edge_weight]))
     elif graph_file.exists():

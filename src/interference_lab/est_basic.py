@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, bootstrap_estimate
+from .core import BootstrapConfig, EffectEstimate, ExperimentDataset, bootstrap_estimate, row_classes
 from .regress import LearnerConfig, cv_lambdas, fit_learner, learner_folds, predict, ridge_rows, weighted_ridge
 from .rng import child_seed, child_seeds
 
@@ -36,8 +36,7 @@ def _has_variation(rows: np.ndarray) -> bool:
 def _varies_on(z: np.ndarray):
     """The redraw rule `valid(counts)` for rows z: whether a count row draws units of two or more
     distinct rows of z, as `_has_variation(z[counts > 0])` decides, without gathering the rows."""
-    z_class = np.unique(z, axis=0, return_inverse=True)[1]
-    n_classes = int(z_class.max()) + 1
+    z_class, n_classes = row_classes(z)
 
     def valid(counts) -> bool:
         return np.count_nonzero(np.bincount(z_class, weights=counts, minlength=n_classes)) > 1
@@ -80,8 +79,8 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
     else:
         rows = ridge_rows(design, delta)
 
-        def contrast(counts, coef) -> np.ndarray:
-            z_mean = np.einsum("bi,ij->bj", counts, z_treated) / n
+        def contrast(weights, coef) -> np.ndarray:
+            z_mean = np.einsum("bi,ij->bj", weights, z_treated) / n
             return np.einsum("bj,bj->b", z_mean, coef[:, :k])
 
         def statistic(counts, draws) -> np.ndarray:
@@ -90,8 +89,10 @@ def _contrast_estimate(method: str, stream: str, model, design: np.ndarray, delt
                 idx = np.repeat(np.tile(units, len(counts)), counts.ravel()).reshape(counts.shape)
                 folds = learner_folds(learner, n, fit_seeds[draws.start:draws.stop])
                 lams = cv_lambdas(ridge_rows(design[idx], delta[idx]), learner, folds)[:, None]
-            coef, _ = weighted_ridge(rows, counts, lams)
-            return contrast(counts, coef[:, 0])
+            # float weights: einsum casts int64 counts inside a slow buffered loop
+            weights = counts.astype(float)
+            coef, _ = weighted_ridge(rows, weights, lams)
+            return contrast(weights, coef[:, 0])
 
         point = float(contrast(np.ones((1, n)), model.coefficients[None])[0])
     return bootstrap_estimate(method, point, bootstrap, stream, n, statistic, valid=valid)

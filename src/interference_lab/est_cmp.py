@@ -16,8 +16,10 @@ Every step works on a batch of count rows (how often each unit is drawn):
 the estimate is the batch of one all-ones row, and the bootstrap scores a
 chunk of resamples at once. A resample's moments come from rows built once
 per estimate, the powers of each outcome's deviation from its period's
-full-sample mean, weighted by the resample's counts. Each draw's features,
-fit and recursion are the same whichever chunk holds it.
+full-sample mean, weighted by the resample's counts. Its treated fractions
+come from its count per treatment history (the distinct rows of the
+assignments, also labelled once per estimate) times those histories. Each
+draw's features, fit and recursion are the same whichever chunk holds it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .core import (
     UnitCovariates,
     bootstrap_estimate,
     check_count,
+    row_classes,
 )
 from .regress import LearnerConfig, RidgeModel, cv_lambdas, learner_folds, ridge_rows, weighted_ridge
 from .rng import child_seeds, substream
@@ -65,13 +68,16 @@ class _Panel:
     """What the moments read of a dataset.
 
     `period_means` holds each period's full-sample mean ȳ (T + 1,) and `sum_rows` the read-only
-    ((order + 1) * (T + 1), n) block whose count-weighted sums give every moment: the powers (y - ȳ)^k for
-    k = 1..order, then the treatment rows zero-padded to T + 1.
+    (order * (T + 1), n) block whose count-weighted sums give every power sum: (y - ȳ)^k for k = 1..order.
+    `history` labels each unit by its treatment history (its row of the assignments) and `patterns` holds the
+    (classes, T) distinct histories, so a resample's treated counts are its count per class times `patterns`.
     """
 
     moment_order: int
     period_means: np.ndarray
     sum_rows: np.ndarray
+    history: np.ndarray
+    patterns: np.ndarray
 
     @property
     def n_periods(self) -> int:
@@ -86,28 +92,40 @@ def _panel(d: ExperimentDataset, moment_order: int) -> _Panel:
         raise ValueError(f"need at least 2 transitions, got T={T}")
     outcomes = np.ascontiguousarray(d.outcomes.outcomes.T)
     period_means = outcomes.mean(axis=1)
-    sum_rows = np.zeros((moment_order + 1, T + 1, d.n_units))
+    sum_rows = np.empty((moment_order, T + 1, d.n_units))
     np.subtract(outcomes, period_means[:, None], out=sum_rows[0])
     for k in range(1, moment_order):
         np.multiply(sum_rows[k - 1], sum_rows[0], out=sum_rows[k])
-    sum_rows[-1, :T] = d.treatments.assignments.T
     sum_rows = sum_rows.reshape(-1, d.n_units)
-    sum_rows.setflags(write=False)
-    return _Panel(moment_order=moment_order, period_means=period_means, sum_rows=sum_rows)
+    assignments = d.treatments.assignments
+    history, n_classes = row_classes(assignments)
+    patterns = np.empty((n_classes, T))
+    patterns[history] = assignments
+    for a in (sum_rows, history, patterns):
+        a.setflags(write=False)
+    return _Panel(moment_order=moment_order, period_means=period_means, sum_rows=sum_rows, history=history,
+                  patterns=patterns)
 
 
 def _count_features(panel: _Panel, counts: np.ndarray):
     """(table (m, T, order + 1), targets (m, T), baseline mean (m,), final moments (m, order)) of each count
-    row's resample (m, n); one einsum weights `sum_rows` by the counts, so the resample is never built.
+    row's resample (m, n), which is never built: one einsum weights `sum_rows` by the counts, and each row's
+    count per treatment history times `patterns` gives its treated counts. Those are sums of integers, exact in
+    any order, so they equal the count-weighted sums of the treatment rows bit for bit.
 
     Per period, the weighted mean holds the power sums r_k, the resample's mean of (y - ȳ)^k, and the treated
     fraction. The mean is ȳ + r_1 and the central moments are the binomial expansion about that shift,
     E[(y - ȳ - r_1)^k] = Σ_j C(k, j) r_j (-r_1)^(k-j) with r_0 = 1; an even one that rounds below 0 (a
     resample with no spread in a period) is 0. A row's values do not depend on the other rows.
     """
-    sums = np.einsum("gn,jn->gj", counts.astype(float), panel.sum_rows) / counts.shape[1]
-    sums = sums.reshape(len(sums), panel.moment_order + 1, -1)
-    r = sums[:, :-1].swapaxes(1, 2)  # (m, T + 1, order): r_1..r_order
+    weights = counts.astype(float)
+    n = counts.shape[1]
+    sums = np.einsum("gn,jn->gj", weights, panel.sum_rows) / n
+    r = sums.reshape(len(sums), panel.moment_order, -1).swapaxes(1, 2)  # (m, T + 1, order): r_1..r_order
+    per_class = np.empty((len(weights), len(panel.patterns)))
+    for i, row in enumerate(weights):
+        per_class[i] = np.bincount(panel.history, weights=row, minlength=len(panel.patterns))
+    treated = np.einsum("mk,kt->mt", per_class, panel.patterns) / n
     minus_r1 = -r[..., 0]
     moments = np.empty_like(r)
     moments[..., 0] = panel.period_means - minus_r1
@@ -117,7 +135,7 @@ def _count_features(panel: _Panel, counts: np.ndarray):
             central = central + math.comb(k, j) * r[..., j - 1] * minus_r1 ** (k - j)
         moments[..., k - 1] = np.maximum(central, 0.0) if k % 2 == 0 else central
     means = moments[..., 0]
-    table = np.concatenate([moments[:, :-1], sums[:, -1, :-1, None]], axis=-1)
+    table = np.concatenate([moments[:, :-1], treated[..., None]], axis=-1)
     return table, means[:, 1:], means[:, 0], moments[:, -1]
 
 

@@ -39,6 +39,9 @@ from .core import (
 )
 from .rng import child_seed, substream
 
+# Edges per noise block in `simulate_outcomes`: a block of T = 20 periods is 640 KiB of float64.
+NOISE_BLOCK_EDGES = 4096
+
 
 @dataclass(frozen=True)
 class DgpParams:
@@ -175,15 +178,32 @@ def _treated_share(c_idx: np.ndarray, treated_edge: np.ndarray, n_connected: int
     return np.divide(treated, neighbors, out=np.zeros_like(treated), where=neighbors > 0)
 
 
+def _edge_noise(rg: np.random.Generator, sigma: float, n_edges: int, T: int) -> np.ndarray:
+    """Noise eps[e, t] read period-major, (T, n_edges), holding the values of one edge-major
+    `normal(0, sigma, (n_edges, T))` draw: consecutive `normal` calls continue one stream, so blocks of
+    NOISE_BLOCK_EDGES edges are drawn in turn and each is written transposed, never a full (n_edges, T) copy."""
+    noise = np.empty((T, n_edges))
+    for lo in range(0, n_edges, NOISE_BLOCK_EDGES):
+        block = rg.normal(0.0, sigma, size=(min(NOISE_BLOCK_EDGES, n_edges - lo), T))
+        noise[:, lo:lo + len(block)] = block.T
+    return noise
+
+
 def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: int) -> OutcomePanel:
-    """Run the edge-level recursion; returns the eligible-unit outcome panel."""
+    """Run the edge-level recursion; returns the eligible-unit outcome panel.
+
+    The drive terms beta * w[j(e), t] and gamma * tau[c(e), t] depend on period t's assignment column alone,
+    so they are recomputed only in a period whose column differs from the previous period's (a staggered
+    rollout changes it only at its stage boundaries); (1 - rho) * b[c(e)] is computed once. Each period sums
+    ((carry + rho * y) + direct) + spillover, then adds its noise.
+    """
     w_full = g.zero_extend(w.assignments)
     if np.any(w_full[~g.eligible]):
         raise ValueError("ineligible treatment units must stay at control")
     T = w.n_periods
     rg = substream(seed, "outcomes")
     baselines = rg.normal(p.baseline_mean, p.baseline_sd, size=g.n_connected_units)
-    noise = rg.normal(0.0, p.sigma, size=(g.n_edges, T)) if p.sigma > 0 else None
+    noise = _edge_noise(rg, p.sigma, g.n_edges, T) if p.sigma > 0 else None
 
     t_idx, c_idx = g.edge_positions()
 
@@ -195,15 +215,19 @@ def simulate_outcomes(g: BipartiteGraph, w: TreatmentPanel, p: DgpParams, seed: 
         return totals[eligible_pos]
 
     b_edge = baselines[c_idx]
+    carry = (1 - p.rho) * b_edge
     y_edge = b_edge.copy()
     Y = np.empty((eligible_pos.size, T + 1))
     Y[:, 0] = aggregate(y_edge)
     for t in range(1, T + 1):
         w_t = w_full[:, t - 1]
-        tau = _treated_share(c_idx, w_t[t_idx], g.n_connected_units)
-        y_edge = (1 - p.rho) * b_edge + p.rho * y_edge + p.beta * w_t[t_idx] + p.gamma * tau[c_idx]
+        if t == 1 or not np.array_equal(w_t, w_full[:, t - 2]):
+            treated_edge = w_t[t_idx]
+            direct = p.beta * treated_edge
+            spill = p.gamma * _treated_share(c_idx, treated_edge, g.n_connected_units)[c_idx]
+        y_edge = carry + p.rho * y_edge + direct + spill
         if noise is not None:
-            y_edge = y_edge + noise[:, t - 1]
+            y_edge += noise[t - 1]
         Y[:, t] = aggregate(y_edge)
     return OutcomePanel(Y)
 

@@ -18,6 +18,7 @@ from interference_lab.bench import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from interference_lab import core
 from interference_lab.core import METHODS
 from interference_lab.est_cmp import estimate_tte_cmp
 from interference_lab.regress import LearnerConfig
@@ -69,9 +70,9 @@ def test_parallel_execution_matches_serial():
 def test_parallel_run_starts_no_more_workers_than_replicates(monkeypatch):
     started = []
 
-    class SerialPool:  # records the pool size, runs the replicates in this process
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    class SerialPool:  # records the pool size and worker initializer, runs the replicates in this process
+        def __init__(self, max_workers, initializer, initargs):
+            started.append((max_workers, initializer, initargs))
 
         def __enter__(self):
             return self
@@ -84,7 +85,7 @@ def test_parallel_run_starts_no_more_workers_than_replicates(monkeypatch):
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
     assert run_scenario(tiny_scenario(replicates=2), jobs=3).scenarios[0]["n_replicates"] == 2
-    assert started == [2]
+    assert started == [(2, core.share_cpus, (2,))]
 
 
 def test_report_validates_against_schema_after_round_trip():

@@ -6,6 +6,7 @@ the same point and interval ends within rtol 1e-9, and on failing inputs the
 same exception type and text.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -222,6 +223,31 @@ def test_bootstrap_memory_stays_within_the_chunk_budget(monkeypatch):
     chunk = max(CHUNK_BYTES, 8 * n * core.MIN_CHUNK_DRAWS)
     assert chunk >= core.THREAD_CHUNK_BYTES  # the threaded path ran
     assert peak < 4 * threads * chunk < B * n * 8 / 4
+
+
+@pytest.mark.parametrize("cpus, processes, pooled", [(2, 2, False), (4, 2, True), (2, 1, True), (3, 4, False)])
+def test_a_pool_worker_threads_only_its_share_of_the_cpus(monkeypatch, cpus, processes, pooled):
+    """After `share_cpus(processes)`, as each `bench --jobs` worker runs it, the engine starts threads only when
+    that process's share of the usable CPUs is two or more; the draws are the same either way."""
+    monkeypatch.setattr(core, "MIN_CHUNK_DRAWS", 4)
+    monkeypatch.setattr(core, "CHUNK_BYTES", 0)
+    monkeypatch.setattr(core, "THREAD_CHUNK_BYTES", 0)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "_cpu_budget", None)
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    args = ("cmp", 0.0, BootstrapConfig(20, seed=3), "cmp-boot", 50, lambda counts, draws: counts[:, 0] * 1.0)
+    threaded = bootstrap_estimate(*args)
+    assert pools == [min(cpus, 5)]
+    core.share_cpus(processes)
+    assert bootstrap_estimate(*args) == threaded
+    assert pools[1:] == ([max(1, cpus // processes)] if pooled else [])
 
 
 @pytest.mark.parametrize("T", [20, 12])

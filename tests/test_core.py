@@ -15,10 +15,12 @@ from interference_lab.core import (
     TreatmentPanel,
     bootstrap_estimate,
     datasets_equal,
+    row_classes,
     validate_dataset,
 )
 from interference_lab.rng import substreams
 
+import reference_kernels as ref
 from conftest import small_dataset, small_graph
 from reference_oracle import constant_panel
 from reference_rng import substream
@@ -171,6 +173,60 @@ def test_duplicate_ids_and_edges_match_the_unique_formulation(seed):
     expected = unique_graph_violations(g)
     got = [v for v in core._graph_violations(g) if v.startswith(("graph.unit_ids", "graph.duplicate_edge"))]
     assert got == expected
+
+
+GRAPH_INPUTS = ("treatment_ids", "eligible", "connected_ids", "edge_treatment", "edge_connected", "edge_weight")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_graph_sorts_shuffled_input_and_keeps_canonical_input(seed):
+    """Edge lists with repeated edges, repeated unit ids and ids no unit has, shuffled or one adjacent swap away
+    from canonical order: the graph holds the stable sorts of its input, and built again from those canonical
+    arrays, which it does not re-sort, it has equal arrays and equal `_graph_violations` messages."""
+    rng = np.random.default_rng(seed)
+    n_t, n_c = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    tid = rng.permutation(np.arange(n_t).repeat(rng.integers(1, 3, n_t)))
+    cid = rng.permutation(np.arange(n_c).repeat(rng.integers(1, 3, n_c)))
+    m = int(rng.integers(0, 30))
+    et, ec = rng.integers(-1, n_t + 1, m), rng.integers(-1, n_c + 1, m)
+    elig, ew = rng.random(len(tid)) < 0.7, rng.random(m) - 0.1
+    if seed % 3 == 0 and m > 1:  # canonical but for one adjacent pair
+        order = np.lexsort((ec, et))
+        et, ec, ew = et[order], ec[order], ew[order]
+        e = int(rng.integers(m - 1))
+        for a in (et, ec, ew):
+            a[[e, e + 1]] = a[[e + 1, e]]
+    shuffled = BipartiteGraph(tid, elig, cid, et, ec, ew)
+    unit_order, edge_order = np.argsort(tid, kind="stable"), np.lexsort((ec, et))
+    want = (tid[unit_order], elig[unit_order], np.sort(cid), et[edge_order], ec[edge_order], ew[edge_order])
+    for name, w in zip(GRAPH_INPUTS, want):
+        np.testing.assert_array_equal(getattr(shuffled, name), w)
+    canonical = BipartiteGraph(*(getattr(shuffled, name) for name in GRAPH_INPUTS))
+    for name in GRAPH_INPUTS + ("edge_treatment_pos", "edge_treatment_found", "edge_connected_pos",
+                                "edge_connected_found"):
+        np.testing.assert_array_equal(getattr(canonical, name), getattr(shuffled, name))
+    assert core._graph_violations(canonical) == core._graph_violations(shuffled)
+
+
+def row_class_cases(rng):
+    """2-d arrays with repeated rows: floats with -0.0 beside 0.0, int8 treatment panels, one column, one row."""
+    signed = rng.choice([0.0, -0.0, 1.5, -2.0], size=(60, 3))
+    yield signed
+    yield signed[:, :1]
+    yield signed[:1]
+    yield np.hstack([rng.choice([0.0, -0.0], size=(30, 1)), np.full((30, 1), 2.0)])  # one class
+    yield rng.integers(0, 2, size=(80, 6)).astype(np.int8)
+    yield (np.arange(1, 21) >= rng.choice([3, 8, 21], size=300)[:, None]).astype(np.int8)
+    yield rng.integers(-3, 4, size=(50, 2)).astype(float)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_classes_match_unique_labels(seed):
+    for rows in row_class_cases(np.random.default_rng(seed)):
+        labels, n_classes = row_classes(rows)
+        want_labels, want_classes = ref.unique_row_labels(rows)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert n_classes == want_classes
 
 
 MUTATIONS = {

@@ -27,6 +27,7 @@ from interference_lab.est_cmp import (
 from interference_lab.regress import LearnerConfig, RidgeModel, predict
 from interference_lab.sim import DgpParams, GraphParams, RolloutParams, generate_graph, simulate_experiment
 
+import reference_kernels as ref
 from reference_rng import substream
 
 TINY = LearnerConfig(lambda_grid=(1e-8, 1e-6))
@@ -493,6 +494,38 @@ def test_build_features_is_the_estimates_all_ones_row(order):
     np.testing.assert_array_equal(f.targets, targets[1])
     np.testing.assert_array_equal(f.final_moments, final[1])
     assert f.baseline_mean == baseline[1]
+
+
+def history_panels(rng):
+    """(outcomes, assignments) pairs: one treatment history, a staggered rollout of a few, a free design with
+    more histories than T + 1, and a large staggered panel."""
+    for n, T, design in ((40, 4, "one"), (60, 7, "staggered"), (200, 6, "free"), (20_000, 8, "staggered")):
+        y = 3.0 + rng.standard_normal((n, T + 1)) * rng.uniform(0.1, 5.0, T + 1)
+        if design == "one":
+            a = np.broadcast_to(rng.integers(0, 2, T), (n, T))
+        elif design == "staggered":
+            a = np.arange(1, T + 1) >= rng.choice([2, 4, T + 1], size=n)[:, None]
+        else:
+            a = rng.integers(0, 2, size=(n, T))
+            assert len(np.unique(a, axis=0)) > T + 1
+        yield y, np.asarray(a, dtype=np.int8)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_count_features_match_the_single_einsum_form(order):
+    """Bit for bit against weighting the power rows and the treatment rows together in one einsum; count rows
+    include zeros, one unit drawn n times, int64 ones and the float ones `build_features` passes."""
+    rng = np.random.default_rng(order)
+    for y, a in history_panels(rng):
+        n = len(a)
+        d = panel_dataset(y, a)
+        rows = [np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(5)]
+        rows += [np.bincount(np.full(n, rng.integers(n)), minlength=n), np.ones(n, dtype=np.int64)]
+        for counts in (np.stack(rows), np.ones((1, n))):
+            got = _count_features(_panel(d, order), counts)
+            want = ref.count_features(y, a, order, counts)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 def loop_evolution(model, baseline_mean, p, T):

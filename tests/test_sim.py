@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+from interference_lab import sim
 from interference_lab.core import BipartiteGraph, TreatmentPanel, validate_dataset
 from interference_lab.sim import (
     DgpParams,
@@ -361,3 +363,51 @@ def test_dgp_params_validation():
         DgpParams(sigma=-0.1)
     with pytest.raises(ValueError, match="avg_degree"):
         GraphParams(n_eligible=5, n_connected=3, avg_degree=4.0)
+
+
+def toggling_panel(rg, n, T):
+    """A free design whose columns toggle: each period keeps the last column, returns to an earlier one or
+    draws a new one."""
+    columns = [rg.integers(0, 2, n)]
+    for _ in range(T - 1):
+        pick = rg.integers(3)
+        columns.append(columns[-1] if pick == 0 else columns[rg.integers(len(columns))] if pick == 1
+                       else rg.integers(0, 2, n))
+    return TreatmentPanel(np.stack(columns, axis=1), design_tag="free")
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_simulate_outcomes_matches_the_per_period_loop(monkeypatch, block):
+    """Bit for bit against the loop that recomputed both drive terms every period and read its noise from one
+    (edges, T) draw: random graphs under toggling free designs and staggered rollouts, sigma 0 and not, T from
+    1; noise in the shipped blocks or in blocks of 7 edges, which few of these edge counts are a multiple of."""
+    if block is not None:
+        monkeypatch.setattr(sim, "NOISE_BLOCK_EDGES", block)
+    kept = changed = ragged = 0
+    for seed in range(80):
+        g, p, T = random_oracle_case(seed)
+        rg = np.random.default_rng(seed)
+        n = int(g.eligible.sum())
+        if seed % 2:
+            w = toggling_panel(rg, n, T)
+        else:
+            stages = RolloutParams((1, 1 + T // 2), (0.3, 0.7)) if T > 1 else RolloutParams((1,), (0.5,))
+            w = assign_staggered_rollout(n, T, stages, seed)
+        a = w.assignments
+        kept += int(np.all(a[:, 1:] == a[:, :-1], axis=0).sum())
+        changed += int(np.any(a[:, 1:] != a[:, :-1], axis=0).sum())
+        ragged += g.n_edges % (block or sim.NOISE_BLOCK_EDGES) != 0 and p.sigma > 0
+        np.testing.assert_array_equal(simulate_outcomes(g, w, p, seed).outcomes,
+                                      ref.simulate_outcomes(g, w, p, seed).outcomes)
+    assert kept > 50 and changed > 50 and ragged > 10
+
+
+def test_simulate_outcomes_matches_the_per_period_loop_across_noise_blocks():
+    """More edges than one noise block, and not a multiple of it."""
+    g = generate_graph(GraphParams(n_eligible=1500, n_ineligible=100, n_connected=2000, avg_degree=3.0,
+                                   weight_mode="lognormal"), seed=5)
+    assert g.n_edges > sim.NOISE_BLOCK_EDGES and g.n_edges % sim.NOISE_BLOCK_EDGES
+    p = DgpParams(beta=1.0, gamma=0.5, rho=0.3, sigma=0.7, baseline_mean=4.0, baseline_sd=1.0)
+    for w in (assign_staggered_rollout(1500, 9, RolloutParams((2, 5), (0.3, 0.6)), seed=6),
+              toggling_panel(np.random.default_rng(6), 1500, 9)):
+        np.testing.assert_array_equal(simulate_outcomes(g, w, p, 8).outcomes, ref.simulate_outcomes(g, w, p, 8).outcomes)
